@@ -19,39 +19,41 @@ check: check-phases
 check-phases:
 	PYTHONPATH=src $(PYTHON) -m repro.check.phases src/repro/algorithms
 
-# Re-run the simulator performance benchmark (all three sync paths)
-# and fail if the fastest path's events/sec regressed >20% vs the
+# Re-run the simulator performance benchmark (slow oracle and epoch
+# kernel) and fail if the epoch path's events/sec regressed >20% vs the
 # committed benchmarks/BENCH_perf.json.
 bench:
 	benchmarks/run_perf.sh
 
-# Reduced-grid benchmark for CI: one pass over a single sweep point per
-# sync path, failing on any cross-path timing mismatch.
+# Reduced-grid benchmark for CI: one pass over a single sweep point on
+# the slow and epoch paths, failing on any cross-path timing mismatch.
 bench-smoke:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_perf.py --smoke
 
-# Observability overhead gate: a run with collection disabled (the
-# default) must stay within 3% of the pre-instrumentation baseline.
+# Observability overhead gates on the epoch kernel: a run with
+# collection disabled (the default) must stay within 3% of the committed
+# epoch baseline, and collecting spans + metrics must cost <= 1.3x.
 bench-obs:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_obs.py \
 		--check benchmarks/BENCH_perf.json --tolerance 0.03
 
-# Sanitizer overhead gate: a run with the sanitizer disarmed (the
-# default) must stay within 3% of the pre-instrumentation baseline.
+# Sanitizer overhead gates on the epoch kernel: a run with the sanitizer
+# disarmed (the default) must stay within 3% of the committed epoch
+# baseline, and an armed run must cost <= 1.8x.
 bench-check:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_check.py \
 		--check benchmarks/BENCH_perf.json --tolerance 0.03
 
 # Fault-injection overhead gate: a run with faults disarmed (the
-# default) must stay within 3% of the pre-fault-injection baseline;
-# also asserts the armed path perturbs timings deterministically.
+# default) must stay within 3% of the committed epoch baseline; also
+# asserts the armed path perturbs timings deterministically.
 bench-faults:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_faults.py \
 		--check benchmarks/BENCH_perf.json --tolerance 0.03
 
 # Topology smoke: the flat machine must match the pre-topology golden
 # timings exactly, and a small cluster grid must report bit-identical
-# timings under the fast and epoch sync paths.
+# timings under the slow and epoch sync paths.
 bench-topology:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_topology.py
 

@@ -19,8 +19,6 @@ from __future__ import annotations
 
 import math
 
-from scipy import stats
-
 
 def chernoff_delta_upper(mu: float, alpha: float) -> float:
     """Smallest δ with ``exp(−δ²·μ / (2+δ)) ≤ alpha``.
@@ -120,6 +118,10 @@ def binomial_tail_inverse_exact(n: int, prob: float, alpha: float = 0.1, union: 
         raise ValueError(f"union must be >= 1, got {union}")
     if n == 0 or prob == 0:
         return 0
+    # scipy is a test-only dependency; importing it here keeps the
+    # ~1 s scipy.stats import off every CLI start-up.
+    from scipy import stats
+
     target = alpha / union
     # P[X >= m] = sf(m - 1); isf gives the smallest x with sf(x) <= target.
     m = int(stats.binom.isf(target, n, prob)) + 1

@@ -30,7 +30,7 @@ import argparse
 import os
 import sys
 import time
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.experiments.registry import EXPERIMENTS, run_experiment
 
@@ -70,11 +70,11 @@ def build_parser() -> argparse.ArgumentParser:
     timeout_help = "kill a sweep point's worker after this many seconds"
     strict_help = "exit non-zero if any sweep point failed (default: report and continue)"
     sync_path_help = (
-        "force the sync-engine path for every sweep point: 'slow' (per-chunk "
-        "DES oracle), 'fast' (batched DES, the default), or 'epoch' (the "
-        "vectorized phase kernel; automatically degrades to 'fast' when a "
-        "feature needs per-message fidelity — see docs/PERFORMANCE.md); "
-        "sets QSM_SYNC_PATH so --jobs N workers inherit it"
+        "force the sync-engine path for every sweep point: 'epoch' (the "
+        "vectorized phase kernel, the default; phases that need per-message "
+        "simulation run on 'slow' automatically — see docs/PERFORMANCE.md) "
+        "or 'slow' (the per-chunk DES oracle); sets QSM_SYNC_PATH so --jobs "
+        "N workers inherit it"
     )
     cache_help = (
         "memoize sweep points in a content-addressed store at DIR (see "
@@ -92,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--topology", metavar="SPEC", help=topology_help)
         p.add_argument("--cache", metavar="DIR", help=cache_help)
         p.add_argument(
-            "--sync-path", choices=["slow", "fast", "epoch"],
+            "--sync-path", choices=["slow", "epoch"],
             dest="sync_path", metavar="PATH", help=sync_path_help,
         )
         p.add_argument("--faults", metavar="SPEC", help=faults_help)
@@ -325,23 +325,28 @@ def _sanitize_teardown() -> None:
     check.disarm()
 
 
-def _sync_path_setup(args) -> bool:
+def _sync_path_setup(args) -> Tuple[bool, Optional[str]]:
     """Export ``--sync-path`` if the flag asked for one.
 
     Setting ``QSM_SYNC_PATH`` in the environment makes every
     ``SoftwareConfig()`` built afterwards — in this process or in a
     ``--jobs N`` worker — resolve to the requested path (the ``QSM_OBS``
-    idiom).
+    idiom).  Returns whether the flag was given and the caller's
+    previous value, which :func:`_sync_path_teardown` restores.
     """
     path = getattr(args, "sync_path", None)
     if not path:
-        return False
+        return False, None
+    previous = os.environ.get("QSM_SYNC_PATH")
     os.environ["QSM_SYNC_PATH"] = path
-    return True
+    return True, previous
 
 
-def _sync_path_teardown() -> None:
-    os.environ.pop("QSM_SYNC_PATH", None)
+def _sync_path_teardown(previous: Optional[str]) -> None:
+    if previous is None:
+        os.environ.pop("QSM_SYNC_PATH", None)
+    else:
+        os.environ["QSM_SYNC_PATH"] = previous
 
 
 def _faults_setup(args) -> bool:
@@ -690,7 +695,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     observing = _obs_setup(args)
     sanitizing = _sanitize_setup(args)
     faulting = _faults_setup(args)
-    syncing = _sync_path_setup(args)
+    syncing, previous_sync_path = _sync_path_setup(args)
     caching = _cache_setup(args)
     resilient = _resilience_setup(args)
     strict = bool(getattr(args, "strict", False))
@@ -713,7 +718,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         if faulting:
             _faults_teardown()
         if syncing:
-            _sync_path_teardown()
+            _sync_path_teardown(previous_sync_path)
         if caching:
             _cache_teardown()
         rc = _resilience_teardown(strict) if resilient else 0
@@ -757,7 +762,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if faulting:
         _faults_teardown()
     if syncing:
-        _sync_path_teardown()
+        _sync_path_teardown(previous_sync_path)
     if caching:
         _cache_teardown()
     return _resilience_teardown(strict) if resilient else 0

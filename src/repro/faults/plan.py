@@ -134,9 +134,9 @@ class FaultPlan:
     # ------------------------------------------------------------------
     @property
     def perturbs_network(self) -> bool:
-        """Whether this plan touches the wires (disables the batched
-        fast-sync path, whose analytic schedule cannot model per-message
-        random drops or jitter)."""
+        """Whether this plan touches the wires (runs phases on the
+        per-message oracle: the epoch kernel's analytic schedule cannot
+        model per-message random drops or jitter)."""
         return self.drop_prob > 0.0 or self.delay_jitter_cycles > 0.0
 
     @property

@@ -15,7 +15,7 @@ The API is designed for use inside simulation generators, where a
   (``end`` enforces LIFO discipline per track);
 * :meth:`Observer.span` — context manager for straight-line code;
 * :meth:`Observer.complete` — record an analytically-known interval in
-  one call (used by the batched-send fast path, whose occupancy is
+  one call (used by the epoch kernel, whose phase timelines are
   computed rather than stepped through);
 * :meth:`Observer.instant` — a zero-duration marker event.
 
@@ -198,15 +198,24 @@ class Observer:
             self.end(span)
 
     def complete(
-        self, name: str, track: int, t0: float, t1: float, **attrs: Any
+        self,
+        name: str,
+        track: int,
+        t0: float,
+        t1: float,
+        parent: Optional[Span] = None,
+        **attrs: Any,
     ) -> Optional[Span]:
         """Record a span whose interval is already known analytically
-        (bypasses the nesting stack; ``t1`` may lie in the simulated
-        future, e.g. a batched NIC occupancy)."""
+        (bypasses the nesting stack; the epoch kernel reports a whole
+        phase's node timelines this way once the phase is priced).
+        With *parent* — another completed span — the new span nests one
+        level below it, as if opened while *parent* was open."""
         if not self.record_spans:
             return None
         wall = time.perf_counter()
-        span = Span(name, track, t0, wall, len(self._stacks.get(track, ())), attrs or None)
+        depth = len(self._stacks.get(track, ())) if parent is None else parent.depth + 1
+        span = Span(name, track, t0, wall, depth, attrs or None)
         span.t1 = t1
         span.w1 = wall
         self.run._add(self.run.spans, span)

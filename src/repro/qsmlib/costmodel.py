@@ -484,7 +484,7 @@ def _burst_schedules(words, gap_m, wire_m, perm, sw, network, tier=None):
     total = int(pid_chunks.sum())
     if total == 0:
         return [None] * p, expected
-    # Messages without a wire chunk contribute nothing on the fast path
+    # Messages without a wire chunk contribute nothing to the schedule
     # (their marshal gap never attaches to an entry), so select on chunk
     # count rather than word count.  Boolean row-major selection keeps
     # every sender's message order.
@@ -550,8 +550,8 @@ def build_epoch_tables(
     """Price one phase's exchange for every node with array math.
 
     *traffic* is the realized :class:`~repro.qsmlib.plan.PhaseTraffic`;
-    the result mirrors every charge of ``SyncEngine._node_proc``'s fast
-    path bit-for-bit (the golden equivalence tests pin this).  A cluster
+    the result mirrors every charge of ``SyncEngine._node_proc``
+    bit-for-bit (the golden equivalence tests pin this).  A cluster
     *topology* swaps the flat scalar charges for per-pair tier lookups
     (see :class:`_TierMatrices`); ``None``/flat keeps the pre-topology
     tables byte for byte.

@@ -1,6 +1,6 @@
 """The epoch sync path: one phase, priced as arrays plus a flat merge.
 
-The DES paths (``slow`` and ``fast``) advance ``p`` generator processes
+The ``slow`` oracle advances ``p`` generator processes
 through the full simulation kernel — events, processes, resources,
 endpoints — even though, once the request queues are realized, a
 bulk-synchronous phase's cost is fully determined.  This module prices
@@ -24,18 +24,25 @@ via ``sim.run(until=end)``.
 
 Bit-identity discipline
 -----------------------
-The kernel mirrors the fast DES path's *push order* exactly: every heap
-entry the DES would create (arrival, delivery, node resume) has a
-counterpart pushed at the same simulated time and in the same relative
-order, so same-instant ties break identically — this matters whenever
-two senders' chunks reach one receive engine at the same instant.  The
-only DES events without counterparts are ones that never reorder
-anything else (process bootstraps and completions, endpoint pump
-starts), which is why the epoch path also processes strictly fewer
-events.  Eligibility is gated in
-:meth:`~repro.qsmlib.runtime.SyncEngine.execute_phase`: any feature
-needing per-message fidelity (pacing, finite receive buffers, network
-faults, observability, tracing, the sanitizer) falls back to the DES.
+Every heap entry stands for an oracle occurrence that can reorder
+others — a chunk reaching a receive resource, its delivery, a node
+resuming — and sorts among same-instant entries like its DES
+counterpart, so ties break identically; this matters whenever two
+senders' chunks reach one receive engine at the same instant.  A whole
+stage's arrivals are pushed when the stage starts, and the oracle
+schedules each chunk's arrival with a tie-break position reserved at
+that same moment (``Simulator.reserve_order``).  The oracle's remaining
+events (send-engine grants, wire processes, process bootstraps and
+completions, endpoint pump starts) never reorder anything observable,
+which is why the epoch path processes strictly fewer events.  The
+equivalence and topology tests pin ``slow == epoch`` bit for bit.
+
+Eligibility is decided in
+:meth:`~repro.qsmlib.runtime.SyncEngine.execute_phase`: features that
+need per-message events (pacing, finite receive buffers, network
+faults, per-event tracing) run the phase on the oracle instead.  Spans,
+metrics and the sanitizer work at phase granularity and stay here —
+each node's stage boundaries are recorded in :attr:`EpochPhase.marks`.
 """
 
 from __future__ import annotations
@@ -43,9 +50,7 @@ from __future__ import annotations
 from collections import deque
 from heapq import heappop, heappush
 from itertools import count
-from typing import List, Tuple
-
-import numpy as np
+from typing import List
 
 from repro.msg.collectives import CONTROL_BYTES, _children, _parent
 from repro.qsmlib.costmodel import build_epoch_tables
@@ -92,8 +97,11 @@ class EpochPhase:
             for pid in range(p):
                 comp[pid] = comp[pid] + faults.compute_penalty(pid, comp[pid])
         self.compute = comp
-        self.ready_times = np.zeros(p)
-        self.now = self.start
+        #: Per-node stage boundaries, appended as each timeline passes
+        #: them: phase start, ready, entry end, and — for p > 1 — plan,
+        #: data and reply ends and done.  Span emission reads these.
+        self.marks: List[List[float]] = [[self.start] for _ in range(p)]
+        self.ready = self.end = self.start
         self.pops = 0
         self.bytes_sent = 0
         self.messages_sent = 0
@@ -121,8 +129,8 @@ class EpochPhase:
         self._gens = [self._node(pid) for pid in range(p)]
 
     # ------------------------------------------------------------------
-    def run(self) -> Tuple[float, float, float]:
-        """Replay the phase; returns (start, ready, end) timestamps."""
+    def run(self) -> None:
+        """Replay the phase; sets :attr:`ready` and :attr:`end`."""
         # Bootstrap every node generator in pid order at t = start, like
         # the DES's pid-ordered process bootstraps (nothing a bootstrap
         # pushes can tie with a later bootstrap: all pushes land at
@@ -154,7 +162,7 @@ class EpochPhase:
                 stream = entry[5]
                 # Free the engine first: the next queued chunk starts
                 # service before this delivery wakes any waiter (the
-                # order _fast_deliver's unclaim-then-hook enforces).
+                # order the oracle's release-then-deposit enforces).
                 q = fifo[queue]
                 if q:
                     hold2, dst2, stream2 = q.popleft()
@@ -181,22 +189,23 @@ class EpochPhase:
                     gens[pid].send(now)
                 except StopIteration:
                     finished[pid] = True
-        self.now = now
         # The heap drained, so pops == pushes == the seq counter's value.
         self.pops = next(seq)
         if not all(finished):
             raise RuntimeError("sync deadlocked: a node never completed the phase")
-        return self.start, float(self.ready_times.max()), now
+        self.ready = float(max(marks[1] for marks in self.marks))
+        self.end = now
 
     # ------------------------------------------------------------------
-    # Node timeline (mirrors SyncEngine._node_proc's fast path, with
-    # every `yield sim.timeout(...)` / event wait as one heap entry).
+    # Node timeline (mirrors SyncEngine._node_proc, with every
+    # `yield sim.timeout(...)` / event wait as one heap entry).
     # ------------------------------------------------------------------
     def _node(self, pid: int):
         heap = self._heap
         seq = self._seq
         p = self.p
         tb = self.tables
+        mark = self.marks[pid].append
 
         t = self.start
         compute = self.compute[pid]
@@ -204,12 +213,13 @@ class EpochPhase:
             t = t + compute
             heappush(heap, (t, next(seq), _NODE, pid))
             t = yield
-        self.ready_times[pid] = t
+        mark(t)
         overhead = float(tb.entry_overhead[pid])
         if overhead > 0:
             t = t + overhead
             heappush(heap, (t, next(seq), _NODE, pid))
             t = yield
+        mark(t)
 
         if p == 1:
             return
@@ -225,6 +235,7 @@ class EpochPhase:
         t = yield
         if not self._try_recv(pid, _PLAN, p - 1):
             t = yield
+        mark(t)
 
         # -- 2. data messages: puts + get requests ----------------------
         sched = tb.data_sends[pid]
@@ -239,6 +250,7 @@ class EpochPhase:
             t = t + unmarshal
             heappush(heap, (t, next(seq), _NODE, pid))
             t = yield
+        mark(t)
 
         # -- 3. get replies ---------------------------------------------
         sched = tb.reply_sends[pid]
@@ -253,6 +265,7 @@ class EpochPhase:
             t = t + unmarshal
             heappush(heap, (t, next(seq), _NODE, pid))
             t = yield
+        mark(t)
 
         # -- 4. closing barrier -----------------------------------------
         hop = self.sw.barrier_hop_cycles
@@ -285,6 +298,7 @@ class EpochPhase:
                 t = yield
             t = self._send_control(pid, t, child, down + pid)
             t = yield
+        mark(t)
 
     # ------------------------------------------------------------------
     # Send/receive building blocks
@@ -294,7 +308,7 @@ class EpochPhase:
 
         The injection timeline is a sequential float64 fold —
         ``t += gap; t += occupancy`` per chunk — matching the DES's
-        chained adds in ``send_burst_from`` exactly (adding a 0.0 gap is
+        chained marshal/send timeouts exactly (adding a 0.0 gap is
         a bitwise no-op).  Arrivals push in entry order, then the
         sender's drain resume — the same order the DES pushes them.
         The per-chunk heappush dominates this loop either way, so the
@@ -383,21 +397,21 @@ class EpochPhase:
         return False
 
 
-def execute_epoch_phase(
-    machine, sw, traffic, compute_cycles, local_words
-) -> Tuple[float, float, float]:
-    """Run one phase on the epoch path; returns (start, ready, end).
+def execute_epoch_phase(machine, sw, traffic, compute_cycles, local_words) -> EpochPhase:
+    """Run one phase on the epoch path; returns the finished
+    :class:`EpochPhase` (``start``/``ready``/``end`` and the per-node
+    stage ``marks``).
 
     Folds the kernel's work back into the simulator: the pop count joins
-    ``sim.event_count``, the clock advances to *end*, and the network's
+    ``sim.event_count``, the clock advances to ``end``, and the network's
     lifetime byte/message counters include this phase's injections.
     """
     phase = EpochPhase(machine, sw, traffic, compute_cycles, local_words)
-    start, ready, end = phase.run()
+    phase.run()
     sim = machine.sim
     sim._event_count += phase.pops
-    sim.run(until=end)
+    sim.run(until=phase.end)
     network = machine.network
     network.bytes_sent += phase.bytes_sent
     network.messages_sent += phase.messages_sent
-    return start, ready, end
+    return phase

@@ -75,17 +75,13 @@ class QSMMachine:
         # Fetched once per machine; None when disarmed (the usual case),
         # so sanitizer support costs one attribute test per phase.
         self._sanitizer = check.active()
-        # An armed sanitizer wants per-message fidelity from the engine;
-        # the epoch kernel steps aside (degrading to the DES fast path)
-        # rather than risk diverging from what the sanitizer replays.
-        self._engine.require_message_fidelity = self._sanitizer is not None
         self._ran = False
         if self.machine.sim.obs is not None:
-            # Observability itself forces the DES (epoch degrades to
-            # fast), so the label names the path that actually runs.
-            fast = "fast" if self.config.software.fast_sync else "oracle"
+            # Name the path the phases will actually run on (a machine
+            # that needs per-message simulation runs epoch phases slow).
+            path = "epoch" if self._engine._epoch_eligible() else "slow"
             self.machine.sim.obs.set_label(
-                f"qsm p={self.p} seed={self.config.seed} sync={fast}"
+                f"qsm p={self.p} seed={self.config.seed} sync={path}"
             )
 
     # ------------------------------------------------------------------

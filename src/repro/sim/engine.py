@@ -15,9 +15,9 @@ for speed:
 * :class:`Simulator` uses ``__slots__`` and :meth:`Simulator.run`
   inlines the per-event pop (``step`` remains for single-stepping and
   tests);
-* :meth:`Simulator.defer` / :meth:`Simulator.defer_at` schedule a bare
-  callable wrapped in a :class:`_Deferred` — two machine words instead
-  of a full :class:`~repro.sim.events.Event` with a callback list.
+* :meth:`Simulator.defer` schedules a bare callable wrapped in a
+  :class:`_Deferred` — two machine words instead of a full
+  :class:`~repro.sim.events.Event` with a callback list.
   Deferred callbacks still count toward :attr:`Simulator.event_count`;
 * tracing hooks in via :attr:`Simulator._step_hook` (multiplexed by
   :class:`~repro.obs.sink.KernelEventSink`, which the
@@ -43,8 +43,8 @@ class _Deferred:
 
     The kernel only ever calls ``event._fire()``, so storing the
     callable *as* ``_fire`` makes firing a plain function call with no
-    dispatch overhead.  Used for process bootstraps and the network
-    fast path, where nothing ever waits on the queue entry itself.
+    dispatch overhead.  Used for process bootstraps and interrupts,
+    where nothing ever waits on the queue entry itself.
     """
 
     __slots__ = ("_fire",)
@@ -153,17 +153,22 @@ class Simulator:
         heapq.heappush(self._queue, (self._now + delay, next(self._seq), event))
         return event
 
-    def schedule_at(self, event: "Event", when: float) -> "Event":
+    def schedule_at(self, event: "Event", when: float, order: Optional[int] = None) -> "Event":
         """Schedule *event* to fire at absolute time *when* (>= now).
 
-        The fast paths use this to place events at analytically-computed
-        instants so that their times are bit-identical to the values the
-        step-by-step path would have accumulated.
+        With *order* (from :meth:`reserve_order`) it sorts among the
+        events at *when* as if it had been scheduled when the order was
+        reserved, instead of now.
         """
         if when < self._now:
             raise SimulationError(f"schedule_at into the past: {when!r} < {self._now!r}")
-        heapq.heappush(self._queue, (when, next(self._seq), event))
+        heapq.heappush(self._queue, (when, next(self._seq) if order is None else order, event))
         return event
+
+    def reserve_order(self) -> int:
+        """Take a same-instant tie-break position now, for an event that
+        will be placed on the queue later with :meth:`schedule_at`."""
+        return next(self._seq)
 
     def defer(self, delay: float, fn: Callable[[], None]) -> None:
         """Run the bare callable *fn* ``delay`` cycles from now.
@@ -174,12 +179,6 @@ class Simulator:
         if delay < 0:
             raise SimulationError(f"negative delay: {delay!r}")
         heapq.heappush(self._queue, (self._now + delay, next(self._seq), _Deferred(fn)))
-
-    def defer_at(self, when: float, fn: Callable[[], None]) -> None:
-        """Run the bare callable *fn* at absolute time *when* (>= now)."""
-        if when < self._now:
-            raise SimulationError(f"defer_at into the past: {when!r} < {self._now!r}")
-        heapq.heappush(self._queue, (when, next(self._seq), _Deferred(fn)))
 
     # Convenience constructors -----------------------------------------
     def event(self) -> "Event":
@@ -239,7 +238,7 @@ class Simulator:
         pop = heapq.heappop
         processed = 0
         try:
-            # The queue never contains past events (schedule/schedule_at
+            # The queue never contains past events (schedule/schedule_at/defer
             # validate), so the backwards-time check lives only in step().
             if until is None:
                 while queue:

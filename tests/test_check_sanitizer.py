@@ -16,10 +16,10 @@ from repro.qsmlib import QSMMachine, RunConfig, SoftwareConfig
 from repro.qsmlib.program import SPMDError
 
 
-def _config(p: int = 4, fast_sync: bool = True, check_semantics: bool = True) -> RunConfig:
+def _config(p: int = 4, sync_path: str = "epoch", check_semantics: bool = True) -> RunConfig:
     return RunConfig(
         machine=MachineConfig(p=p),
-        software=SoftwareConfig(fast_sync=fast_sync),
+        software=SoftwareConfig(sync_path=sync_path),
         seed=7,
         check_semantics=check_semantics,
     )
@@ -28,29 +28,29 @@ def _config(p: int = 4, fast_sync: bool = True, check_semantics: bool = True) ->
 # ----------------------------------------------------------------------
 # The paper's workloads are sanitizer-clean under both sync paths
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("fast_sync", [True, False], ids=["fast", "oracle"])
+@pytest.mark.parametrize("sync_path", ["epoch", "slow"], ids=["epoch", "oracle"])
 class TestPaperAlgorithmsClean:
-    def test_prefix(self, sanitizer, fast_sync):
+    def test_prefix(self, sanitizer, sync_path):
         from repro.algorithms.prefix import run_prefix_sums
 
         values = np.arange(64, dtype=np.int64)
-        out = run_prefix_sums(values, _config(fast_sync=fast_sync))
+        out = run_prefix_sums(values, _config(sync_path=sync_path))
         assert np.array_equal(out.result, np.cumsum(values))
         assert sanitizer.diagnostics == []
 
-    def test_samplesort(self, sanitizer, fast_sync):
+    def test_samplesort(self, sanitizer, sync_path):
         from repro.algorithms.samplesort import run_sample_sort
 
         values = np.random.default_rng(3).integers(0, 10_000, 256)
-        out = run_sample_sort(values, _config(fast_sync=fast_sync))
+        out = run_sample_sort(values, _config(sync_path=sync_path))
         assert np.array_equal(out.result, np.sort(values))
         assert sanitizer.diagnostics == []
 
-    def test_listrank(self, sanitizer, fast_sync):
+    def test_listrank(self, sanitizer, sync_path):
         from repro.algorithms.listrank import make_random_list, run_list_ranking
 
         succ = make_random_list(64, seed=5)
-        out = run_list_ranking(succ, _config(fast_sync=fast_sync))
+        out = run_list_ranking(succ, _config(sync_path=sync_path))
         assert out.ranks.min() == 1 and out.ranks.max() == 64
         assert sanitizer.diagnostics == []
 

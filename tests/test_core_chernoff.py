@@ -129,3 +129,22 @@ def test_validation_errors():
         chernoff_binomial_upper(10, 0.5, union=0)
     with pytest.raises(ValueError):
         oversampling_bucket_bound(10, 2, 0)
+
+
+def test_cli_import_does_not_load_scipy():
+    """scipy is a test-only dependency: CLI start-up must not import it."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "import sys, repro.experiments.cli; print('scipy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"

@@ -1,15 +1,15 @@
-"""The vectorized epoch kernel must be timing-equivalent to the DES.
+"""The vectorized epoch kernel must be timing-equivalent to the oracle.
 
 ``SyncPath.EPOCH`` prices a whole bulk-synchronous phase with numpy
 array math and one flat merge loop; the discrete-event simulator is
-only consulted at the phase boundary.  Like the fast path before it
-(see test_fast_sync_equivalence.py), that is a pure simulator
+only consulted at the phase boundary.  That is a pure simulator
 optimisation: every observable quantity — per-phase start/ready/end
-times, communication cycles, algorithm outputs, experiment tables —
-must come out bit-for-bit identical with both DES paths.  These tests
-pin that contract across processor counts and all three paper
-algorithms, the automatic fallback to per-message simulation when a
-feature needs it, and the CLI/env plumbing that selects the path.
+times, communication cycles, algorithm outputs, sweep rows, experiment
+tables — must come out bit-for-bit identical with the per-message
+``slow`` oracle.  These tests pin that contract across processor counts
+and all three paper algorithms, the automatic fallback to per-message
+simulation when a feature needs it, observed and sanitized runs staying
+on the kernel, and the CLI/env plumbing that selects the path.
 """
 
 from __future__ import annotations
@@ -22,10 +22,11 @@ from repro.algorithms.prefix import run_prefix_sums
 from repro.algorithms.samplesort import run_sample_sort
 from repro.faults.plan import FaultPlan
 from repro.machine.config import MachineConfig
+from repro.qsmlib import QSMMachine
 from repro.qsmlib.config import SoftwareConfig, SyncPath
 from repro.qsmlib.program import RunConfig
 
-PATHS = ("slow", "fast", "epoch")
+PATHS = ("slow", "epoch")
 
 
 def _config(p: int, path: str, machine: MachineConfig = None) -> RunConfig:
@@ -44,7 +45,7 @@ def _phase_fingerprint(run) -> tuple:
 
 
 # ----------------------------------------------------------------------
-# Bit identity across all three paths, all three algorithms
+# Bit identity across both paths, all three algorithms
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("p", [1, 2, 4, 8])
 def test_samplesort_bit_identical_on_all_paths(p):
@@ -52,7 +53,7 @@ def test_samplesort_bit_identical_on_all_paths(p):
     data = rng.integers(0, 1 << 30, size=2000)
     runs = {path: run_sample_sort(data.copy(), config=_config(p, path)) for path in PATHS}
     fingerprints = {path: _phase_fingerprint(r.run) for path, r in runs.items()}
-    assert fingerprints["epoch"] == fingerprints["fast"] == fingerprints["slow"]
+    assert fingerprints["epoch"] == fingerprints["slow"]
     np.testing.assert_array_equal(runs["epoch"].result, runs["slow"].result)
 
 
@@ -62,7 +63,7 @@ def test_prefix_bit_identical_on_all_paths(p):
     data = rng.integers(0, 1000, size=3000)
     runs = {path: run_prefix_sums(data.copy(), config=_config(p, path)) for path in PATHS}
     fingerprints = {path: _phase_fingerprint(r.run) for path, r in runs.items()}
-    assert fingerprints["epoch"] == fingerprints["fast"] == fingerprints["slow"]
+    assert fingerprints["epoch"] == fingerprints["slow"]
     np.testing.assert_array_equal(runs["epoch"].result, runs["slow"].result)
 
 
@@ -71,17 +72,18 @@ def test_listrank_bit_identical_on_all_paths(p):
     succ = make_random_list(1500, seed=3)
     runs = {path: run_list_ranking(succ.copy(), config=_config(p, path)) for path in PATHS}
     fingerprints = {path: _phase_fingerprint(r.run) for path, r in runs.items()}
-    assert fingerprints["epoch"] == fingerprints["fast"] == fingerprints["slow"]
+    assert fingerprints["epoch"] == fingerprints["slow"]
     np.testing.assert_array_equal(runs["epoch"].ranks, runs["slow"].ranks)
 
 
-def test_epoch_does_no_more_kernel_work_than_fast():
-    """Same timings, at most as many events: the point of the kernel."""
+def test_epoch_does_strictly_less_kernel_work_than_slow():
+    """Same timings, strictly fewer events: the point of the kernel."""
     rng = np.random.default_rng(0)
     data = rng.integers(0, 1 << 30, size=4000)
     epoch = run_sample_sort(data.copy(), config=_config(8, "epoch"))
-    fast = run_sample_sort(data.copy(), config=_config(8, "fast"))
-    assert epoch.run.sim_events < fast.run.sim_events
+    slow = run_sample_sort(data.copy(), config=_config(8, "slow"))
+    assert _phase_fingerprint(epoch.run) == _phase_fingerprint(slow.run)
+    assert epoch.run.sim_events < slow.run.sim_events
 
 
 # ----------------------------------------------------------------------
@@ -89,7 +91,7 @@ def test_epoch_does_no_more_kernel_work_than_fast():
 # ----------------------------------------------------------------------
 def test_epoch_falls_back_under_network_faults():
     """A network-perturbing fault plan degrades epoch to per-message
-    simulation; all three configured paths then agree event-for-event."""
+    simulation; both configured paths then agree event-for-event."""
     rng = np.random.default_rng(9)
     data = rng.integers(0, 1 << 30, size=2000)
     machine = MachineConfig(p=4).with_faults(
@@ -100,10 +102,9 @@ def test_epoch_falls_back_under_network_faults():
         for path in PATHS
     }
     fingerprints = {path: _phase_fingerprint(r.run) for path, r in runs.items()}
-    assert fingerprints["epoch"] == fingerprints["fast"] == fingerprints["slow"]
-    # The degraded epoch run does the same per-message work as fast
-    # (which itself degrades to the oracle when faults are armed).
-    assert runs["epoch"].run.sim_events == runs["fast"].run.sim_events
+    assert fingerprints["epoch"] == fingerprints["slow"]
+    # The degraded epoch run does the oracle's per-message work.
+    assert runs["epoch"].run.sim_events == runs["slow"].run.sim_events
     np.testing.assert_array_equal(runs["epoch"].result, runs["slow"].result)
 
 
@@ -121,19 +122,60 @@ def test_epoch_falls_back_under_send_pacing():
             ),
         )
 
-    epoch, fast = run("epoch"), run("fast")
-    assert _phase_fingerprint(epoch.run) == _phase_fingerprint(fast.run)
-    assert epoch.run.sim_events == fast.run.sim_events
+    epoch, slow = run("epoch"), run("slow")
+    assert _phase_fingerprint(epoch.run) == _phase_fingerprint(slow.run)
+    assert epoch.run.sim_events == slow.run.sim_events
+
+
+def exchange_program(ctx, A):
+    """Two phases touching put, get and local traffic."""
+    n = len(A)
+    ctx.put(A, [(ctx.pid * 4 + 1) % n], [ctx.pid])
+    yield ctx.sync()
+    ctx.get(A, [(ctx.pid * 4 + 2) % n])
+    yield ctx.sync()
+
+
+def _path_counts(qm: QSMMachine) -> dict:
+    result = qm.run(exchange_program, A=qm.allocate("a", 16))
+    counts = qm._engine.path_counts
+    assert sum(counts.values()) == len(result.phases) == 2
+    return counts
+
+
+def test_step_hook_tracing_runs_on_slow():
+    """Per-event kernel tracing needs the oracle's events."""
+    from repro.sim.trace import TraceRecorder
+
+    qm = QSMMachine(_config(4, "epoch"))
+    trace = TraceRecorder(qm.machine.sim)
+    assert _path_counts(qm) == {"slow": 2, "epoch": 0}
+    assert trace.of_kind("grant")
 
 
 # ----------------------------------------------------------------------
-# Config resolution: enum, env, deprecated aliases
+# Observed and sanitized runs stay on the epoch kernel
+# ----------------------------------------------------------------------
+def test_observed_run_stays_on_epoch(obs_state):
+    """Spans plus metrics collection must not switch kernels."""
+    assert obs_state.record_spans
+    assert _path_counts(QSMMachine(_config(4, "epoch"))) == {"slow": 0, "epoch": 2}
+
+
+def test_sanitized_run_stays_on_epoch(sanitizer):
+    assert _path_counts(QSMMachine(_config(4, "epoch"))) == {"slow": 0, "epoch": 2}
+    assert sanitizer.diagnostics == []
+
+
+# ----------------------------------------------------------------------
+# Config resolution: enum, env, the removed path
 # ----------------------------------------------------------------------
 def test_sync_path_resolution_and_default(monkeypatch):
+    """QSM_SYNC_PATH gates the default; an explicit field always wins."""
     monkeypatch.delenv("QSM_SYNC_PATH", raising=False)
-    monkeypatch.delenv("QSM_FAST_SYNC", raising=False)
+    assert [m.value for m in SyncPath] == ["slow", "epoch"]
     assert SoftwareConfig().sync_path is SyncPath.EPOCH
-    assert SoftwareConfig(sync_path="fast").sync_path is SyncPath.FAST
+    assert SoftwareConfig(sync_path="slow").sync_path is SyncPath.SLOW
     assert SoftwareConfig(sync_path=SyncPath.SLOW).sync_path is SyncPath.SLOW
     monkeypatch.setenv("QSM_SYNC_PATH", "slow")
     assert SoftwareConfig().sync_path is SyncPath.SLOW
@@ -152,22 +194,31 @@ def test_invalid_sync_path_field_raises():
         SoftwareConfig(sync_path="turbo")
 
 
-def test_fast_sync_field_is_deprecated(monkeypatch):
+def test_fast_sync_field_is_deprecated(monkeypatch, capsys):
+    """The deprecated ``fast_sync`` field and the deleted ``fast`` path
+    value now fail loudly, naming the valid paths."""
+    from repro.experiments.cli import main
+
     monkeypatch.delenv("QSM_SYNC_PATH", raising=False)
-    with pytest.deprecated_call():
-        cfg = SoftwareConfig(fast_sync=True)
-    assert cfg.sync_path is SyncPath.FAST
-    with pytest.deprecated_call():
-        assert SoftwareConfig(fast_sync=False).sync_path is SyncPath.SLOW
+    for value in (True, False):
+        with pytest.raises(TypeError, match="fast_sync.*sync_path=.*slow, epoch"):
+            SoftwareConfig(fast_sync=value)
+    with pytest.raises(ValueError, match="sync_path.*slow, epoch"):
+        SoftwareConfig(sync_path="fast")
+    with pytest.raises(SystemExit):
+        main(["run", "fig1", "--fast", "--sync-path", "fast"])
+    assert "'slow', 'epoch'" in capsys.readouterr().err
 
 
 def test_fast_sync_env_is_deprecated(monkeypatch):
+    """The deprecated ``QSM_FAST_SYNC`` no longer selects a path, and
+    ``QSM_SYNC_PATH=fast`` fails naming the valid paths."""
     monkeypatch.delenv("QSM_SYNC_PATH", raising=False)
     monkeypatch.setenv("QSM_FAST_SYNC", "0")
-    with pytest.deprecated_call():
-        assert SoftwareConfig().sync_path is SyncPath.SLOW
-    monkeypatch.setenv("QSM_SYNC_PATH", "epoch")  # new var wins, no warning
     assert SoftwareConfig().sync_path is SyncPath.EPOCH
+    monkeypatch.setenv("QSM_SYNC_PATH", "fast")
+    with pytest.raises(ValueError, match="QSM_SYNC_PATH.*slow, epoch"):
+        SoftwareConfig()
 
 
 # ----------------------------------------------------------------------
@@ -186,8 +237,8 @@ def _cli_figure_data(fig, tmp_path, monkeypatch, path):
 
 @pytest.mark.parametrize("fig", ["fig1", "fig2", "fig3"])
 def test_cli_figures_identical_across_paths(fig, tmp_path, monkeypatch):
-    datasets = [_cli_figure_data(fig, tmp_path, monkeypatch, path) for path in PATHS]
-    assert datasets[0] == datasets[1] == datasets[2]
+    slow, epoch = (_cli_figure_data(fig, tmp_path, monkeypatch, path) for path in PATHS)
+    assert slow == epoch
 
 
 def test_cli_sync_path_flag(tmp_path, monkeypatch):
@@ -200,9 +251,22 @@ def test_cli_sync_path_flag(tmp_path, monkeypatch):
 
     monkeypatch.delenv("QSM_SYNC_PATH", raising=False)
     results = {}
-    for path in ("fast", "epoch"):
+    for path in PATHS:
         out = tmp_path / f"flag_{path}.json"
         assert main(["run", "fig1", "--fast", "--json", str(out), "--sync-path", path]) == 0
         assert "QSM_SYNC_PATH" not in os.environ, "flag leaked into the environment"
         results[path] = json.loads(out.read_text())["data"]
-    assert results["fast"] == results["epoch"]
+    assert results["slow"] == results["epoch"]
+
+
+def test_cli_sync_path_flag_restores_callers_value(tmp_path, monkeypatch):
+    """An in-process `main([... "--sync-path", ...])` puts back a value
+    the caller had exported instead of deleting it."""
+    import os
+
+    from repro.experiments.cli import main
+
+    monkeypatch.setenv("QSM_SYNC_PATH", "slow")
+    out = tmp_path / "fig1.json"
+    assert main(["run", "fig1", "--fast", "--json", str(out), "--sync-path", "epoch"]) == 0
+    assert os.environ["QSM_SYNC_PATH"] == "slow"

@@ -9,7 +9,7 @@ The contracts under test (see docs/ROBUSTNESS.md):
 * the same (plan, run seed) always reproduces the same fault schedule;
   different seeds differ;
 * injected network faults slow measured communication, charge real
-  retransmit traffic, and disable the analytic fast path;
+  retransmit traffic, and take phases off the epoch kernel;
 * straggler and membank axes perturb their own layers, deterministically;
 * retransmit exhaustion surfaces as FaultError, not a hang.
 """

@@ -5,7 +5,8 @@ decompose the phase timings the experiments report — per processor, the
 ``qsm.compute``/``entry``/``plan``/``data``/``reply``/``barrier``
 segments contiguously partition the ``qsm.phase`` span, whose bounds
 match the :class:`~repro.qsmlib.stats.PhaseRecord` — under both the
-fast-sync and per-message oracle paths.
+epoch kernel and the per-message oracle, which emit identical spans and
+``qsm.*`` metrics.
 """
 
 import json
@@ -32,10 +33,13 @@ def exchange_program(ctx, A):
     return int(got.data[0])
 
 
-def run_with_obs(fast_sync, p=4, seed=3):
+def run_with_obs(epoch, p=4, seed=3, topology=None):
+    """One observed run on the epoch kernel (``epoch=True``) or the
+    per-message oracle."""
+    machine = MachineConfig(p=p) if topology is None else MachineConfig(p=p, topology=topology)
     cfg = RunConfig(
-        machine=MachineConfig(p=p),
-        software=SoftwareConfig(fast_sync=fast_sync),
+        machine=machine,
+        software=SoftwareConfig(sync_path="epoch" if epoch else "slow"),
         seed=seed,
     )
     qm = QSMMachine(cfg)
@@ -44,9 +48,9 @@ def run_with_obs(fast_sync, p=4, seed=3):
     return result, obs.runs()[-1]
 
 
-@pytest.mark.parametrize("fast_sync", [True, False])
-def test_phase_spans_reconcile_with_phase_records(obs_state, fast_sync):
-    result, run = run_with_obs(fast_sync)
+@pytest.mark.parametrize("epoch", [True, False])
+def test_phase_spans_reconcile_with_phase_records(obs_state, epoch):
+    result, run = run_with_obs(epoch)
     p = result.p
     phase_spans = [s for s in run.spans if s.name == "qsm.phase"]
     assert len(phase_spans) == len(result.phases) * p
@@ -76,21 +80,54 @@ def test_phase_spans_reconcile_with_phase_records(obs_state, fast_sync):
                 assert prev.t1 == nxt.t0
 
 
-def test_fast_and_oracle_traces_agree_on_phase_bounds(obs_state):
-    res_fast, run_fast = run_with_obs(True)
-    res_oracle, run_oracle = run_with_obs(False)
-    # the fast path is timing-equivalent, so phase spans must agree
-    fast = sorted(
-        (s.attrs["phase"], s.track, s.t0, s.t1)
-        for s in run_fast.spans
-        if s.name == "qsm.phase"
+def _qsm_spans(run) -> list:
+    return sorted(
+        (s.name, s.track, s.t0, s.t1, s.depth, sorted((s.attrs or {}).items()))
+        for s in run.spans
+        if s.name.startswith("qsm.")
     )
-    oracle = sorted(
-        (s.attrs["phase"], s.track, s.t0, s.t1)
-        for s in run_oracle.spans
-        if s.name == "qsm.phase"
-    )
-    assert fast == oracle
+
+
+def _observed_metrics() -> dict:
+    return {
+        name: metric.snapshot()
+        for name, metric in obs.metrics().items()
+        if name.startswith("qsm.") or name in ("net.bytes_injected", "net.messages_sent")
+    }
+
+
+def _observe(epoch, **kwargs):
+    """Spans and metrics of one observed run, collected in isolation."""
+    obs.enable()
+    try:
+        _, run = run_with_obs(epoch, **kwargs)
+        for observer in obs.state().observers:
+            observer.finalize()
+        return _qsm_spans(run), _observed_metrics()
+    finally:
+        obs.disable()
+
+
+@pytest.mark.parametrize("p", [1, 2, 4, 8])
+def test_epoch_spans_and_metrics_equal_oracle(p):
+    """The epoch kernel emits the oracle's qsm.* spans (name, track, t0,
+    t1, depth, attrs) and metrics exactly, plus its wire totals."""
+    epoch_spans, epoch_metrics = _observe(True, p=p)
+    slow_spans, slow_metrics = _observe(False, p=p)
+    assert epoch_spans == slow_spans
+    assert len(epoch_spans) == 2 * p * (3 if p == 1 else 7)
+    assert epoch_metrics == slow_metrics
+    assert epoch_metrics["qsm.syncs"]["value"] == 2
+
+
+def test_epoch_spans_and_metrics_equal_oracle_on_cluster():
+    from repro.machine.config import ClusterTopology
+
+    topo = ClusterTopology(cores_per_node=2)
+    epoch_spans, epoch_metrics = _observe(True, p=8, topology=topo)
+    slow_spans, slow_metrics = _observe(False, p=8, topology=topo)
+    assert epoch_spans == slow_spans
+    assert epoch_metrics == slow_metrics
 
 
 def test_qsm_metrics_traffic_accounting(obs_state):
@@ -109,14 +146,15 @@ def test_run_label_names_sync_path(obs_state):
     run_with_obs(True)
     run_with_obs(False)
     labels = [r.label for r in obs.runs()]
-    assert any("sync=fast" in lbl for lbl in labels)
-    assert any("sync=oracle" in lbl for lbl in labels)
+    assert any("sync=epoch" in lbl for lbl in labels)
+    assert any("sync=slow" in lbl for lbl in labels)
 
 
 def test_network_instants_recorded(obs_state):
-    _, run = run_with_obs(True)
+    """Per-message network diagnostics are a feature of the oracle."""
+    _, run = run_with_obs(False)
     names = {s.name for s in run.instants}
-    assert "net.deliver" in names
+    assert {"net.inject", "net.deliver"} <= names
     delivered = sum(1 for s in run.instants if s.name == "net.deliver")
     assert delivered > 0
     assert obs.metrics().counter("net.messages_sent").value > 0

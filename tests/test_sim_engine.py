@@ -163,10 +163,10 @@ def test_fractional_delays(sim):
     assert times == [0.5, 0.75]
 
 
-def test_fast_sync_processes_strictly_fewer_events():
-    """A multi-chunk exchange under fast_sync collapses the per-chunk
-    event storm: the kernel must process strictly fewer events while
-    producing the identical simulated clock."""
+def test_epoch_processes_strictly_fewer_events():
+    """A multi-chunk exchange on the epoch kernel skips the oracle's
+    per-chunk event storm: the kernel must process strictly fewer events
+    while producing the identical simulated clock."""
     import numpy as np
 
     from repro.machine.config import MachineConfig
@@ -181,11 +181,11 @@ def test_fast_sync_processes_strictly_fewer_events():
         ctx.put_range(A, dst * n_words, values)
         yield ctx.sync()
 
-    def run(fast_sync):
+    def run(sync_path):
         qm = QSMMachine(
             RunConfig(
                 machine=MachineConfig(p=4),
-                software=SoftwareConfig(fast_sync=fast_sync),
+                software=SoftwareConfig(sync_path=sync_path),
                 check_semantics=False,
             )
         )
@@ -193,7 +193,7 @@ def test_fast_sync_processes_strictly_fewer_events():
         qm.run(exchange, A=A)
         return qm.machine.sim.event_count, qm.machine.sim.now
 
-    fast_events, fast_now = run(True)
-    slow_events, slow_now = run(False)
-    assert fast_now == slow_now  # identical simulated time
-    assert fast_events < slow_events  # strictly less kernel work
+    epoch_events, epoch_now = run("epoch")
+    slow_events, slow_now = run("slow")
+    assert epoch_now == slow_now  # identical simulated time
+    assert epoch_events < slow_events  # strictly less kernel work

@@ -112,16 +112,16 @@ def test_describe_named_process():
 def test_tracing_a_full_qsm_sync():
     """Smoke: the trace captures a sync's structure without breaking it.
 
-    Traces the per-message oracle path (fast_sync=False) — the batched
-    fast path intentionally elides the grant/timeout micro-events this
-    test wants to see.
+    An installed step hook runs the phase on the per-message oracle
+    (the epoch kernel has no DES events to report), so the trace shows
+    the grant/timeout micro-events even on the default sync path.
     """
     from repro.machine.config import MachineConfig
     from repro.qsmlib import QSMMachine, RunConfig
     from repro.qsmlib.config import SoftwareConfig
 
     qm = QSMMachine(
-        RunConfig(machine=MachineConfig(p=4), software=SoftwareConfig(fast_sync=False))
+        RunConfig(machine=MachineConfig(p=4), software=SoftwareConfig(sync_path="epoch"))
     )
     trace = TraceRecorder(qm.machine.sim)
     A = qm.allocate("a", 16)

@@ -4,11 +4,11 @@ The topology layer carries two contracts at once:
 
 * **Flat is bit-identical to the pre-topology machine.**  A default
   ``MachineConfig()`` must produce exactly the cycle counts it produced
-  before topology existed, under all three sync paths — the pinned
+  before topology existed, under both sync paths — the pinned
   constants below were captured on the flat-only machine layer.
-* **Cluster is path-independent.**  The slow (per-message DES), fast
-  (batched DES) and epoch (vectorized) paths must agree bit-for-bit on
-  cluster machines too: the tiers change the costs, never the model.
+* **Cluster is path-independent.**  The slow (per-message DES) and
+  epoch (vectorized) paths must agree bit-for-bit on cluster machines
+  too: the tiers change the costs, never the model.
 
 Plus the satellite surfaces: config validation, the traffic-weighted
 effective cost mix, the topology-aware and fault-aware prediction
@@ -37,7 +37,7 @@ from repro.qsmlib import QSMMachine, RunConfig
 from repro.qsmlib.config import SoftwareConfig
 from repro.store import point_key
 
-PATHS = ("slow", "fast", "epoch")
+PATHS = ("slow", "epoch")
 
 #: Pre-topology goldens: samplesort p=16 n=8192 (rng(42), seed=1) and
 #: prefix p=16 n=4096 (rng(7), seed=1) on the default flat machine.
@@ -98,7 +98,7 @@ def test_cluster_samplesort_bit_identical_on_all_paths(p, cores):
             rng.integers(0, 2**62, size=2048), _config(machine, path)
         )
         fps[path] = _fingerprint(out.run)
-    assert fps["epoch"] == fps["fast"] == fps["slow"]
+    assert fps["epoch"] == fps["slow"]
 
 
 @pytest.mark.parametrize("p,cores", [(8, 4)])
@@ -111,7 +111,7 @@ def test_cluster_prefix_and_listrank_bit_identical_on_all_paths(p, cores):
         lambda cfg: run_list_ranking(make_random_list(1024, seed=3), cfg),
     ):
         fps = {path: _fingerprint(runner(_config(machine, path)).run) for path in PATHS}
-        assert fps["epoch"] == fps["fast"] == fps["slow"]
+        assert fps["epoch"] == fps["slow"]
 
 
 def test_cluster_with_wire_override_bit_identical_on_all_paths():
@@ -126,7 +126,42 @@ def test_cluster_with_wire_override_bit_identical_on_all_paths():
             rng.integers(0, 2**62, size=2048), _config(machine, path)
         )
         fps[path] = _fingerprint(out.run)
-    assert fps["epoch"] == fps["fast"] == fps["slow"]
+    assert fps["epoch"] == fps["slow"]
+
+
+@pytest.mark.parametrize(
+    "p,cores,ratio,seed",
+    [
+        # Chunks from several senders reach one node wire at one instant.
+        (16, 4, 2.0, 1),
+        # Zero intra latency: an arrival ties with a delivery at the same
+        # receive engine, which decides the next same-instant ties.
+        (3, 3, 1.0, 376),
+    ],
+)
+def test_cluster_same_instant_ties_bit_identical_on_all_paths(p, cores, ratio, seed):
+    """Same-instant ties at a receive resource break the same way on the
+    oracle as on the epoch kernel: arrivals take the order their sending
+    stages began, then their send order."""
+    net = MachineConfig().network
+    topo = ClusterTopology(
+        cores_per_node=cores,
+        intra_gap_cycles_per_byte=net.gap_cycles_per_byte / ratio,
+        intra_overhead_cycles=net.overhead_cycles / ratio,
+    )
+    fps = {}
+    for path in PATHS:
+        out = run_sample_sort(
+            np.random.default_rng(seed).integers(0, 2**62, size=2048),
+            RunConfig(
+                machine=MachineConfig(p=p, topology=topo),
+                software=SoftwareConfig(sync_path=path),
+                seed=seed,
+                check_semantics=False,
+            ),
+        )
+        fps[path] = _fingerprint(out.run)
+    assert fps["epoch"] == fps["slow"]
 
 
 def test_degenerate_cluster_equals_flat():
@@ -142,7 +177,7 @@ def test_degenerate_cluster_equals_flat():
     rng = np.random.default_rng(42)
     out = run_sample_sort(
         rng.integers(0, 2**62, size=8192),
-        _config(MachineConfig(topology=topo), "fast"),
+        _config(MachineConfig(topology=topo), "epoch"),
     )
     assert out.run.comm_cycles == FLAT_SAMPLESORT_COMM
     assert out.run.total_cycles == FLAT_SAMPLESORT_TOTAL
@@ -154,7 +189,7 @@ def test_cluster_shared_wire_costs_more_than_flat():
     intra tier on samplesort's all-to-all traffic."""
     machine = MachineConfig(topology=ClusterTopology(cores_per_node=4))
     rng = np.random.default_rng(42)
-    out = run_sample_sort(rng.integers(0, 2**62, size=8192), _config(machine, "fast"))
+    out = run_sample_sort(rng.integers(0, 2**62, size=8192), _config(machine, "epoch"))
     assert out.run.comm_cycles > FLAT_SAMPLESORT_COMM
 
 
