@@ -16,6 +16,12 @@ rebuild the experiment as a closed-loop queueing simulation:
   an unmitigated hot spot), ``NOCONFLICT`` (processor *i* owns bank
   ``i+1`` — the hand-placed ideal).
 
+Each access is a short tuple of stages (delays and FCFS holds) that a
+per-processor stage machine walks on the simulator's event queue
+(:mod:`repro.membank.stages`); no generator process runs.  The
+simulation is the source of Figure 7's numbers; the closed forms in
+:mod:`repro.membank.analytic` are a cross-check.
+
 :func:`~repro.membank.microbench.run_microbenchmark` reports the mean
 remote access time, reproducing Figure 7's qualitative result:
 NoConflict ≤ Random ≪ Conflict, with Random within tens of percent of

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.sim import Resource, Simulator
-from repro.sim.monitor import TallyStat
+from repro.membank.stages import Server, Stage, serve
+from repro.sim import Simulator
+from repro.sim.monitor import TimeWeightedStat
 
 
 class BankArray:
@@ -21,25 +22,16 @@ class BankArray:
             raise ValueError(f"need at least one bank, got {n_banks}")
         if service_cycles <= 0:
             raise ValueError(f"service time must be positive, got {service_cycles}")
-        self.sim = sim
         self.n_banks = n_banks
         self.service_cycles = service_cycles
-        self.banks: List[Resource] = [
-            Resource(sim, capacity=1, name=f"bank{i}") for i in range(n_banks)
-        ]
-        self.wait_stat = TallyStat()
+        self.banks: List[Server] = [Server(busy=TimeWeightedStat(sim)) for _ in range(n_banks)]
 
-    def access(self, bank: int):
-        """Generator: queue at *bank* and hold it for one service."""
+    def stage(self, bank: int) -> Stage:
+        """The stage that holds *bank* for one service."""
         if not 0 <= bank < self.n_banks:
             raise ValueError(f"bank {bank} out of range (0..{self.n_banks - 1})")
-        t0 = self.sim.now
-        req = self.banks[bank].request()
-        yield req
-        self.wait_stat.record(self.sim.now - t0)
-        yield self.sim.timeout(self.service_cycles)
-        self.banks[bank].release(req)
+        return serve(self.banks[bank], self.service_cycles)
 
     def utilization(self, bank: int) -> float:
         """Time-averaged busy fraction of *bank*."""
-        return self.banks[bank].busy_stat.time_average()
+        return self.banks[bank].busy.time_average()

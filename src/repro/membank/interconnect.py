@@ -1,31 +1,28 @@
 """Interconnect models between processors and memory banks.
 
-Each model is a pair of generator methods — :meth:`request_path` and
-:meth:`response_path` — run inside an accessing processor's simulation
-process.  They charge the medium-specific delays and contend for any
-shared medium (bus, Ethernet segment).
+Each model describes how an access reaches a bank and how the reply
+returns, as stage tuples (see :mod:`repro.membank.stages`):
+:meth:`~Interconnect.request_stages` and
+:meth:`~Interconnect.response_stages` charge the medium-specific delays
+and contend for any shared medium (bus, Ethernet link).  An
+interconnect owns its servers, so build a fresh one per run.
 """
 
 from __future__ import annotations
 
-import math
+from typing import Tuple
 
-from repro.sim import Resource, Simulator
+from repro.membank.stages import Server, Stage, delay, serve
 
 
 class Interconnect:
     """Base class; subclasses model one medium."""
 
-    def __init__(self, sim: Simulator) -> None:
-        self.sim = sim
-
-    def request_path(self, pid: int, bank: int):  # pragma: no cover - abstract
+    def request_stages(self, pid: int, bank: int) -> Tuple[Stage, ...]:  # pragma: no cover - abstract
         raise NotImplementedError
-        yield
 
-    def response_path(self, pid: int, bank: int):  # pragma: no cover - abstract
+    def response_stages(self, pid: int, bank: int) -> Tuple[Stage, ...]:  # pragma: no cover - abstract
         raise NotImplementedError
-        yield
 
     def per_access_target_occupancy(self) -> float:
         """Exclusive time one access holds a *target-node-local* shared
@@ -48,18 +45,18 @@ class BusInterconnect(Interconnect):
     pipelined/split bus that overlaps transactions.
     """
 
-    def __init__(self, sim: Simulator, occupancy_cycles: float, width: int = 2) -> None:
-        super().__init__(sim)
+    def __init__(self, occupancy_cycles: float, width: int = 2) -> None:
         if occupancy_cycles <= 0:
             raise ValueError("bus occupancy must be positive")
         self.occupancy_cycles = occupancy_cycles
-        self.bus = Resource(sim, capacity=width, name="bus")
+        self.bus = Server(capacity=width)
+        self._grant = (serve(self.bus, occupancy_cycles),)
 
-    def request_path(self, pid: int, bank: int):
-        yield from self.bus.serve(self.occupancy_cycles)
+    def request_stages(self, pid: int, bank: int) -> Tuple[Stage, ...]:
+        return self._grant
 
-    def response_path(self, pid: int, bank: int):
-        yield from self.bus.serve(self.occupancy_cycles)
+    def response_stages(self, pid: int, bank: int) -> Tuple[Stage, ...]:
+        return self._grant
 
     def per_access_global_occupancy(self) -> tuple:
         # Two bus grants per access (address + data return) on a bus
@@ -80,34 +77,35 @@ class EthernetInterconnect(Interconnect):
 
     def __init__(
         self,
-        sim: Simulator,
         n_nodes: int,
         frame_cycles: float,
         stack_cycles: float,
         propagation_cycles: float = 0.0,
     ) -> None:
-        super().__init__(sim)
         if n_nodes < 1 or frame_cycles <= 0 or stack_cycles < 0 or propagation_cycles < 0:
             raise ValueError("invalid Ethernet timing parameters")
         self.n_nodes = n_nodes
         self.frame_cycles = frame_cycles
         self.stack_cycles = stack_cycles
         self.propagation_cycles = propagation_cycles
-        self.egress = [Resource(sim, capacity=1, name=f"eth{i}.out") for i in range(n_nodes)]
-        self.ingress = [Resource(sim, capacity=1, name=f"eth{i}.in") for i in range(n_nodes)]
+        self.egress = [Server() for _ in range(n_nodes)]
+        self.ingress = [Server() for _ in range(n_nodes)]
 
-    def _one_way(self, src: int, dst: int):
-        yield self.sim.timeout(self.stack_cycles)
-        yield from self.egress[src % self.n_nodes].serve(self.frame_cycles)
-        yield from self.ingress[dst % self.n_nodes].serve(self.frame_cycles)
+    def _one_way(self, src: int, dst: int) -> Tuple[Stage, ...]:
+        stages = (
+            delay(self.stack_cycles),
+            serve(self.egress[src % self.n_nodes], self.frame_cycles),
+            serve(self.ingress[dst % self.n_nodes], self.frame_cycles),
+        )
         if self.propagation_cycles:
-            yield self.sim.timeout(self.propagation_cycles)
+            stages += (delay(self.propagation_cycles),)
+        return stages
 
-    def request_path(self, pid: int, bank: int):
-        yield from self._one_way(pid, bank)
+    def request_stages(self, pid: int, bank: int) -> Tuple[Stage, ...]:
+        return self._one_way(pid, bank)
 
-    def response_path(self, pid: int, bank: int):
-        yield from self._one_way(bank, pid)
+    def response_stages(self, pid: int, bank: int) -> Tuple[Stage, ...]:
+        return self._one_way(bank, pid)
 
     def per_access_target_occupancy(self) -> float:
         # Each access serialises one request frame on the target's
@@ -124,8 +122,7 @@ class TorusInterconnect(Interconnect):
     hop count is the average for a 3-D torus of ``n_nodes``.
     """
 
-    def __init__(self, sim: Simulator, n_nodes: int, hop_cycles: float, inject_cycles: float) -> None:
-        super().__init__(sim)
+    def __init__(self, n_nodes: int, hop_cycles: float, inject_cycles: float) -> None:
         if n_nodes < 1 or hop_cycles < 0 or inject_cycles < 0:
             raise ValueError("invalid torus parameters")
         self.n_nodes = n_nodes
@@ -135,12 +132,10 @@ class TorusInterconnect(Interconnect):
         # Average distance per dimension on a ring of length `side` is
         # ~side/4; three dimensions.
         self.avg_hops = max(1.0, 3.0 * side / 4.0)
+        self._one_way = (delay(self.inject_cycles + self.avg_hops * self.hop_cycles),)
 
-    def _one_way(self):
-        yield self.sim.timeout(self.inject_cycles + self.avg_hops * self.hop_cycles)
+    def request_stages(self, pid: int, bank: int) -> Tuple[Stage, ...]:
+        return self._one_way
 
-    def request_path(self, pid: int, bank: int):
-        yield from self._one_way()
-
-    def response_path(self, pid: int, bank: int):
-        yield from self._one_way()
+    def response_stages(self, pid: int, bank: int) -> Tuple[Stage, ...]:
+        return self._one_way

@@ -19,7 +19,7 @@ simulator (:mod:`repro.membank`) are all built on this kernel.
 from repro.sim.engine import Simulator, SimulationError
 from repro.sim.events import AllOf, AnyOf, Event, Interrupt, Timeout
 from repro.sim.process import Process
-from repro.sim.resource import PriorityResource, Request, Resource
+from repro.sim.resource import Request, Resource
 from repro.sim.store import Store
 from repro.sim.monitor import TimeWeightedStat, TallyStat
 from repro.sim.trace import TraceEntry, TraceRecorder
@@ -34,7 +34,6 @@ __all__ = [
     "Interrupt",
     "Process",
     "Resource",
-    "PriorityResource",
     "Request",
     "Store",
     "TimeWeightedStat",

@@ -1,15 +1,13 @@
 """FCFS resources with finite capacity.
 
-Resources model contended servers: NIC send/receive engines, memory
-banks, a snooping bus.  A process requests a slot, holds it for a
-service time, and releases it; waiters are granted in FIFO (or priority)
-order, which keeps the kernel deterministic.
+Resources model contended servers such as NIC send/receive engines and
+node wires.  A process requests a slot, holds it for a service time,
+and releases it; waiters are granted in FIFO order, which keeps the
+kernel deterministic.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
 from collections import deque
 
 from repro.sim.engine import SimulationError, Simulator
@@ -20,12 +18,11 @@ from repro.sim.monitor import TimeWeightedStat
 class Request(Event):
     """A pending or granted claim on a :class:`Resource` slot."""
 
-    __slots__ = ("resource", "priority")
+    __slots__ = ("resource",)
 
-    def __init__(self, resource: "Resource", priority: int = 0) -> None:
+    def __init__(self, resource: "Resource") -> None:
         super().__init__(resource.sim)
         self.resource = resource
-        self.priority = priority
 
 
 class Resource:
@@ -101,34 +98,3 @@ class Resource:
             f"{len(self._waiters)} queued>"
         )
 
-
-class PriorityResource(Resource):
-    """A resource whose wait queue is ordered by (priority, arrival)."""
-
-    def __init__(self, sim: Simulator, capacity: int = 1, name: str = "") -> None:
-        super().__init__(sim, capacity, name)
-        self._heap: list = []
-        self._tiebreak = itertools.count()
-
-    def request(self, priority: int = 0) -> Request:  # type: ignore[override]
-        req = Request(self, priority)
-        if len(self._users) < self.capacity:
-            self._grant(req)
-        else:
-            heapq.heappush(self._heap, (priority, next(self._tiebreak), req))
-            self.queue_stat.record(len(self._heap))
-        return req
-
-    @property
-    def queue_length(self) -> int:
-        return len(self._heap)
-
-    def release(self, req: Request) -> None:
-        if req not in self._users:
-            raise SimulationError("release() of a request that does not hold the resource")
-        self._users.discard(req)
-        self.busy_stat.record(len(self._users))
-        while self._heap and len(self._users) < self.capacity:
-            _prio, _tb, nxt = heapq.heappop(self._heap)
-            self.queue_stat.record(len(self._heap))
-            self._grant(nxt)

@@ -18,7 +18,7 @@ from repro.membank import (
 )
 from repro.membank.interconnect import BusInterconnect, EthernetInterconnect, TorusInterconnect
 from repro.membank.microbench import pattern_sweep
-from repro.sim import Simulator
+from repro.membank.stages import Walker, delay
 
 
 # ---------------------------------------------------------------------------
@@ -31,42 +31,31 @@ def test_bank_array_validation(sim):
         BankArray(sim, 4, 0.0)
     banks = BankArray(sim, 4, 10.0)
     with pytest.raises(ValueError):
-        next(banks.access(7))
+        banks.stage(7)
+
+
+def _walk(sim, paths_by_pid):
+    """One walker per entry, each taking its accesses in order."""
+    for pid, paths in enumerate(paths_by_pid):
+        Walker(sim, pid, paths)
+    sim.run()
 
 
 def test_bank_serializes_accesses(sim):
     banks = BankArray(sim, 2, service_cycles=10.0)
-
-    def proc():
-        yield from banks.access(0)
-
-    for _ in range(4):
-        sim.process(proc())
-    sim.run()
+    _walk(sim, [[(banks.stage(0),)]] * 4)
     assert sim.now == 40.0  # fully serialised at bank 0
 
 
 def test_distinct_banks_parallel(sim):
     banks = BankArray(sim, 4, service_cycles=10.0)
-
-    def proc(b):
-        yield from banks.access(b)
-
-    for b in range(4):
-        sim.process(proc(b))
-    sim.run()
+    _walk(sim, [[(banks.stage(b),)] for b in range(4)])
     assert sim.now == 10.0
 
 
 def test_bank_utilization(sim):
     banks = BankArray(sim, 2, service_cycles=10.0)
-
-    def proc():
-        yield from banks.access(0)
-        yield sim.timeout(10)
-
-    sim.process(proc())
-    sim.run()
+    _walk(sim, [[(banks.stage(0), delay(10))]])
     assert banks.utilization(0) == pytest.approx(0.5)
     assert banks.utilization(1) == 0.0
 
@@ -93,47 +82,32 @@ def test_random_spreads(rng):
 # Interconnects
 # ---------------------------------------------------------------------------
 def test_bus_contention(sim):
-    bus = BusInterconnect(sim, occupancy_cycles=10.0, width=1)
-
-    def proc():
-        yield from bus.request_path(0, 0)
-
-    for _ in range(3):
-        sim.process(proc())
-    sim.run()
+    bus = BusInterconnect(occupancy_cycles=10.0, width=1)
+    _walk(sim, [[bus.request_stages(0, 0)]] * 3)
     assert sim.now == 30.0
 
 
-def test_ethernet_ingress_is_the_hot_spot():
-    sim = Simulator()
-    eth = EthernetInterconnect(sim, n_nodes=4, frame_cycles=100.0, stack_cycles=0.0)
-
-    def proc(src):
-        yield from eth.request_path(src, 0)
-
-    for src in range(1, 4):
-        sim.process(proc(src))
-    sim.run()
+def test_ethernet_ingress_is_the_hot_spot(sim):
+    eth = EthernetInterconnect(n_nodes=4, frame_cycles=100.0, stack_cycles=0.0)
+    _walk(sim, [[eth.request_stages(src, 0)] for src in range(1, 4)])
     # egress links run in parallel (100), then three frames serialise on
     # node 0's ingress link (300)
     assert sim.now == pytest.approx(400.0, rel=0.01)
 
 
 def test_torus_hops_scale_with_size():
-    sim = Simulator()
-    small = TorusInterconnect(sim, n_nodes=8, hop_cycles=10.0, inject_cycles=0.0)
-    large = TorusInterconnect(sim, n_nodes=512, hop_cycles=10.0, inject_cycles=0.0)
+    small = TorusInterconnect(n_nodes=8, hop_cycles=10.0, inject_cycles=0.0)
+    large = TorusInterconnect(n_nodes=512, hop_cycles=10.0, inject_cycles=0.0)
     assert large.avg_hops > small.avg_hops
 
 
 def test_interconnect_validation():
-    sim = Simulator()
     with pytest.raises(ValueError):
-        BusInterconnect(sim, occupancy_cycles=0.0)
+        BusInterconnect(occupancy_cycles=0.0)
     with pytest.raises(ValueError):
-        EthernetInterconnect(sim, n_nodes=0, frame_cycles=1.0, stack_cycles=0.0)
+        EthernetInterconnect(n_nodes=0, frame_cycles=1.0, stack_cycles=0.0)
     with pytest.raises(ValueError):
-        TorusInterconnect(sim, n_nodes=4, hop_cycles=-1.0, inject_cycles=0.0)
+        TorusInterconnect(n_nodes=4, hop_cycles=-1.0, inject_cycles=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -159,6 +133,8 @@ def test_microbench_validation():
         run_microbenchmark(smp_native(), RANDOM, accesses_per_proc=0)
     with pytest.raises(ValueError):
         run_microbenchmark(smp_native(), RANDOM, accesses_per_proc=10, warmup=10)
+    with pytest.raises(ValueError, match="must be >= 0"):
+        run_microbenchmark(smp_native(), RANDOM, accesses_per_proc=10, warmup=-1)
 
 
 def test_microbench_deterministic():
