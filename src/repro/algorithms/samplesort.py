@@ -33,7 +33,7 @@ from repro.algorithms.common import (
     profile_sort,
 )
 from repro.check.spec import phase_spec
-from repro.qsmlib import QSMMachine, RunConfig, RunResult, SharedArray
+from repro.qsmlib import QSMMachine, Recording, RunConfig, RunResult, SharedArray
 from repro.util.validation import require
 
 
@@ -155,6 +155,9 @@ def sample_sort_program(ctx, S_in: SharedArray, S_out: SharedArray, params: Samp
 class SampleSortOutcome:
     result: np.ndarray
     run: RunResult
+    #: The run's host side, priceable on machines that share its
+    #: :func:`~repro.qsmlib.program.host_key`.
+    recording: Optional[Recording] = None
 
 
 def run_sample_sort(
@@ -179,4 +182,4 @@ def run_sample_sort(
     S_in.data[:] = values
     S_out = qm.allocate("ss.out", n)
     run = qm.run(sample_sort_program, S_in=S_in, S_out=S_out, params=params)
-    return SampleSortOutcome(result=S_out.data.copy(), run=run)
+    return SampleSortOutcome(result=S_out.data.copy(), run=run, recording=qm.recording)

@@ -408,6 +408,14 @@ def parallel_map(fn: Callable[[T], R], tasks: Sequence[T], jobs: Optional[int] =
     task is first looked up by its content key; cached points replay
     their stored capture and only novel points execute (see the module
     docstring).
+
+    A worker may declare ``fn.task_group``, a function mapping a task to
+    a hashable key.  When nothing is instrumented (so no per-point side
+    state depends on execution order), tasks that share a key run back
+    to back — in this process, or in order within the pool's chunks — so
+    *fn* can reuse work between them (the machine sweeps price one
+    recording on every machine).  Results, and the error raised if a
+    task fails, are still those of the task order.
     """
     tasks = list(tasks)
     if tasks and result_store.active_store() is not None:
@@ -417,16 +425,21 @@ def parallel_map(fn: Callable[[T], R], tasks: Sequence[T], jobs: Optional[int] =
             _resilient_captures(fn, tasks, effective_jobs(jobs), _POLICY)
         )
     n_jobs = min(effective_jobs(jobs), len(tasks))
+    instrumented = obs.enabled() or check.armed() or faults.armed()
+    group = getattr(fn, "task_group", None)
+    order = None if group is None or instrumented else _group_order(tasks, group)
     if n_jobs <= 1:
-        return [fn(t) for t in tasks]
+        if order is None:
+            return [fn(t) for t in tasks]
+        return _grouped_map(fn, tasks, order)
 
     import multiprocessing
 
     # chunksize > 1 amortises IPC for fine-grained sweeps while keeping
     # Pool.map's ordered-results guarantee.
     chunksize = max(1, len(tasks) // (4 * n_jobs))
-    instrumented = obs.enabled() or check.armed() or faults.armed()
     use_shm = shm_enabled()
+    submit = tasks if order is None else [tasks[i] for i in order]
     # terminate+join in a finally so Ctrl-C mid-map never leaves
     # orphaned workers behind (Pool.__exit__ only terminates).
     pool = multiprocessing.Pool(
@@ -434,21 +447,21 @@ def parallel_map(fn: Callable[[T], R], tasks: Sequence[T], jobs: Optional[int] =
     )
     try:
         if not instrumented and not use_shm:
-            return pool.map(fn, tasks, chunksize=chunksize)
+            return _unpermute(pool.map(fn, submit, chunksize=chunksize), order)
         if use_shm:
-            blobs = pool.map(partial(_shm_task, fn, instrumented), tasks, chunksize=chunksize)
+            blobs = pool.map(partial(_shm_task, fn, instrumented), submit, chunksize=chunksize)
             # Decode before the pool is torn down: segments are owned by
             # the parent the moment a worker returns, and unlinking them
             # here keeps the failure window (leaked segments) as small
             # as the map call itself.
             outs = [_shm_decode(b) for b in blobs]
         else:
-            outs = pool.map(partial(_instrumented_task, fn), tasks, chunksize=chunksize)
+            outs = pool.map(partial(_instrumented_task, fn), submit, chunksize=chunksize)
     finally:
         pool.terminate()
         pool.join()
     if not instrumented:
-        return outs
+        return _unpermute(outs, order)
     results: List[R] = []
     for result, payload, diags, tally in outs:
         obs.merge_payload(payload)
@@ -456,6 +469,44 @@ def parallel_map(fn: Callable[[T], R], tasks: Sequence[T], jobs: Optional[int] =
         faults.merge_tally(tally)
         results.append(result)
     return results
+
+
+def _group_order(tasks: List[T], group: Callable[[T], Any]) -> Optional[List[int]]:
+    """Task indices with each group's tasks back to back (groups in order
+    of first appearance); ``None`` when that is the task order itself."""
+    members: Dict[Any, List[int]] = {}
+    for i, task in enumerate(tasks):
+        members.setdefault(group(task), []).append(i)
+    order = [i for idx in members.values() for i in idx]
+    return None if order == list(range(len(tasks))) else order
+
+
+def _unpermute(outs: List[R], order: Optional[List[int]]) -> List[R]:
+    """Results computed in *order*, put back in task order."""
+    if order is None:
+        return outs
+    results: List[Any] = [None] * len(outs)
+    for i, out in zip(order, outs):
+        results[i] = out
+    return results
+
+
+def _grouped_map(fn: Callable[[T], R], tasks: List[T], order: List[int]) -> List[R]:
+    """The in-process loop in group *order*, returning task-order results."""
+    results: Dict[int, R] = {}
+    try:
+        for i in order:
+            results[i] = fn(tasks[i])
+    except Exception as exc:  # noqa: BLE001 - re-raised below
+        error = exc
+    else:
+        return [results[i] for i in range(len(tasks))]
+    # Raise what the task order would have: run the tasks not yet run,
+    # in order, until one fails (the failed one does, deterministically).
+    for i, task in enumerate(tasks):
+        if i not in results:
+            fn(task)
+    raise error
 
 
 def _worker_init() -> None:
@@ -742,9 +793,13 @@ def _journal_path(directory: str, fn: Callable) -> str:
     return os.path.join(directory, f"{name}-{seq:02d}.jsonl")
 
 
-def _load_journal(path: str) -> Dict[Tuple[int, str], dict]:
-    """Parse a checkpoint journal, tolerating a truncated final line."""
-    records: Dict[Tuple[int, str], dict] = {}
+def _load_journal(path: str) -> Dict[str, dict]:
+    """Parse a checkpoint journal, tolerating a truncated final line.
+
+    Records are keyed by task, not by position: a sweep whose task
+    order changed still resumes every journalled point.
+    """
+    records: Dict[str, dict] = {}
     if not os.path.exists(path):
         return records
     with open(path) as fh:
@@ -757,7 +812,7 @@ def _load_journal(path: str) -> Dict[Tuple[int, str], dict]:
             except ValueError:
                 continue  # interrupted mid-write; the point just re-runs
             if rec.get("v") == 1 and rec.get("status") in ("ok", "failed"):
-                records[(rec["index"], rec["key"])] = rec
+                records[rec["key"]] = rec
     return records
 
 
@@ -846,7 +901,7 @@ def _resilient_captures(
     keys = [_task_key(t) for t in tasks]
 
     journal_path = None
-    completed: Dict[Tuple[int, str], dict] = {}
+    completed: Dict[str, dict] = {}
     if pol.checkpoint_dir is not None:
         journal_path = _journal_path(pol.checkpoint_dir, fn)
         completed = _load_journal(journal_path)
@@ -855,12 +910,12 @@ def _resilient_captures(
     done: Dict[int, Tuple[str, Any]] = {}
     pending: List[int] = []
     for i, key in enumerate(keys):
-        rec = completed.get((i, key))
+        rec = completed.get(key)
         if rec is None:
             # Tolerate journals written before the canonical key scheme
             # (repr-hash keys): old sweeps still resume, new appends use
             # the stable keys.
-            rec = completed.get((i, _legacy_task_key(tasks[i])))
+            rec = completed.get(_legacy_task_key(tasks[i]))
         if rec is None:
             pending.append(i)
         elif rec["status"] == "ok":

@@ -9,8 +9,11 @@ QSM closed form and its topology-aware twin (``qsm-cluster``, the
 traffic-weighted tier mix of docs/MODEL.md).
 
 Expected shape: the first row (the flat topology) reproduces the
-legacy machine exactly — same store keys, same cycle counts as fig2's
-point at the same n.  Cluster rows expose the two competing effects:
+legacy machine exactly — the same cycle counts as fig2's points at the
+same n and seed, and the same store keys as the full fig4/fig5 sweep's
+l = 1600 points and the full fig6 sweep's o = 400 points at that n
+(fig2 keys its points on its own worker, so its keys differ).  Cluster
+rows expose the two competing effects:
 cheap intra-node traffic pulls communication *down* (more so at high
 ratio and high cores-per-node, where more traffic stays on-node),
 while the shared per-node wire pushes it *up* (all ``c`` cores drain
@@ -102,7 +105,11 @@ def run(
 
     # One flat task pool over the whole grid: each task carries its
     # machine config, so the result store partitions the points by
-    # topology automatically and flat rows replay fig2-compatible keys.
+    # topology.  The flat rows share store keys with the fig4/fig5 and
+    # fig6 sweeps at their default l and o (same worker, same tasks).
+    # Every machine sorts the same inputs, so the executor runs each
+    # input's points back to back and the cluster rows price the flat
+    # row's recording.
     tasks = [t for m in machines for t in _point_tasks(m, [n], reps, seed)]
     comms = parallel_map(_sweep_point_task, tasks, jobs=jobs)
 

@@ -14,13 +14,14 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro import check
 from repro.algorithms.samplesort import run_sample_sort
 from repro.analysis.crossover import DEFAULT_BAND, band_crossover_from_predictions
 from repro.experiments.base import mean_std_robust
 from repro.experiments.executor import parallel_map
 from repro.machine.config import MachineConfig
 from repro.predict import get_model, make_source, predict_point, resolve_models
-from repro.qsmlib import QSMMachine, RunConfig
+from repro.qsmlib import QSMMachine, Recording, RunConfig, host_key
 
 FULL_SWEEP_NS = [4096, 8192, 16384, 32768, 65536, 125000, 250000, 500000]
 FAST_SWEEP_NS = [4096, 16384, 65536, 250000]
@@ -111,20 +112,51 @@ def band_exceedances(
     return exceed, f"fault-injected band exceedance (max measured/whp): {rendered}"
 
 
+#: The most recent sweep input's host side, as ``(n, recording)``.  One
+#: slot is enough: the executor runs the points of one
+#: :func:`_sweep_group` back to back.
+_last_recording: Optional[Tuple[int, Recording]] = None
+
+
 def _sweep_point_task(task) -> float:
     """Worker for one (machine, n, run_seed) grid point.
 
     Module-level so it pickles for the process pool; the task tuple
     carries the derived seed, making output independent of which worker
     (or which process) runs the point.
+
+    When the previous point ran the same input on a machine with the
+    same :func:`~repro.qsmlib.program.host_key` — the machines differ
+    only in network, topology or fault plan — its recording is priced
+    on this machine instead of running sample sort's host code again;
+    the ``RunResult`` is bit-identical.  An armed sanitizer checks the
+    host side, so then every point runs the program.
     """
+    global _last_recording
     machine, n, run_seed = task
+    config = RunConfig(machine=machine, seed=run_seed, check_semantics=False)
+    last = _last_recording
+    if (
+        last is not None
+        and last[0] == n
+        and last[1].key == host_key(config)
+        and not check.armed()
+    ):
+        return QSMMachine(config).run(last[1]).comm_cycles
     rng = np.random.default_rng(run_seed)
-    out = run_sample_sort(
-        rng.integers(0, 2**62, size=n),
-        RunConfig(machine=machine, seed=run_seed, check_semantics=False),
-    )
+    out = run_sample_sort(rng.integers(0, 2**62, size=n), config)
+    _last_recording = (n, out.recording)
     return out.run.comm_cycles
+
+
+def _sweep_group(task) -> tuple:
+    """Tasks with equal keys can share one recording."""
+    machine, n, run_seed = task
+    return n, host_key(RunConfig(machine=machine, seed=run_seed, check_semantics=False))
+
+
+# The executor runs each group's tasks back to back (see parallel_map).
+_sweep_point_task.task_group = _sweep_group
 
 
 def _point_tasks(machine: MachineConfig, ns: Sequence[int], reps: int, seed: int) -> List[tuple]:
@@ -199,7 +231,11 @@ def _machine_sweeps(
     jobs: int,
     models: Optional[Sequence[str]] = None,
 ) -> Dict[float, SampleSortSweep]:
-    """Run one sweep per machine, flattening all points into one pool."""
+    """Run one sweep per machine, flattening all points into one pool.
+
+    The machines share every input, so the executor runs each input's
+    points back to back and all but the first price its recording.
+    """
     ns = list(ns)
     tasks = [t for m in machines for t in _point_tasks(m, ns, reps, seed)]
     comms = parallel_map(_sweep_point_task, tasks, jobs=jobs)

@@ -20,8 +20,9 @@ work) and adding only the non-overlappable memory and branch stalls.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, field, replace
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
 from repro.machine.cache import AnalyticCache, MemoryAccess
 from repro.machine.config import NodeConfig
@@ -78,14 +79,22 @@ class OpProfile:
         )
 
 
+#: Most profiles a node's cycles() memo keeps.  Every sweep input
+#: charges profiles of its own sizes, so an unbounded memo grows with
+#: the number of runs a process makes; a run's profiles are reused
+#: within the run, which this comfortably holds.
+MEMO_CAP = 4096
+
+
 class CPUModel:
     """Convert :class:`OpProfile` chunks to cycle counts for one node."""
 
-    #: cycles() memos, one dict per distinct (frozen) node config —
-    #: shared across CPUModel instances so the p per-node models of a
-    #: machine, and fresh machines built for every sweep point, all hit
-    #: the same cache.
-    _shared_memos: dict = {}
+    #: cycles() memos, one per distinct (frozen) node config — shared
+    #: across CPUModel instances so the p per-node models of a machine,
+    #: fresh machines built for every sweep point, and the predictors'
+    #: cost sources all hit the same cache.  Each holds at most
+    #: :data:`MEMO_CAP` entries, evicting the oldest first.
+    _shared_memos: Dict[NodeConfig, "OrderedDict[OpProfile, float]"] = {}
 
     def __init__(self, node: NodeConfig) -> None:
         self.node = node
@@ -93,11 +102,12 @@ class CPUModel:
         # cycles() is a pure function of the (frozen) profile and the
         # immutable node config; memoised because SPMD programs charge
         # the same profile once per processor every phase.
-        self._cycles_memo = CPUModel._shared_memos.setdefault(node, {})
+        self._cycles_memo = CPUModel._shared_memos.setdefault(node, OrderedDict())
 
     def cycles(self, profile: OpProfile) -> float:
         """Expected execution cycles for *profile* on this node."""
-        cached = self._cycles_memo.get(profile)
+        memo = self._cycles_memo
+        cached = memo.get(profile)
         if cached is not None:
             return cached
         node = self.node
@@ -112,7 +122,9 @@ class CPUModel:
             profile.branches * node.branch_mispredict_rate * node.branch_mispredict_penalty
         )
         result = throughput + mem_stall + branch_stall
-        self._cycles_memo[profile] = result
+        memo[profile] = result
+        if len(memo) > MEMO_CAP:
+            memo.popitem(last=False)
         return result
 
     def copy_cycles(self, nbytes: float, resident: bool = False) -> float:

@@ -36,7 +36,14 @@ from repro.qsmlib.plan import (
     check_phase_semantics,
     compute_kappa,
 )
-from repro.qsmlib.program import QSMMachine, RunConfig, SPMDError, run_program
+from repro.qsmlib.program import (
+    QSMMachine,
+    Recording,
+    RunConfig,
+    SPMDError,
+    host_key,
+    run_program,
+)
 from repro.qsmlib.requests import GetHandle, RequestQueue
 from repro.qsmlib.runtime import PhaseTiming, SyncEngine
 from repro.qsmlib.stats import PhaseRecord, RunResult
@@ -62,8 +69,10 @@ __all__ = [
     "check_phase_semantics",
     "compute_kappa",
     "QSMMachine",
+    "Recording",
     "RunConfig",
     "SPMDError",
+    "host_key",
     "run_program",
     "GetHandle",
     "RequestQueue",

@@ -12,12 +12,18 @@ simulator (where ``g``, ``o``, ``l`` and the software layer act), then
 applies the bulk-synchronous memory semantics and resumes the programs.
 The result is a :class:`~repro.qsmlib.stats.RunResult` with per-phase
 measurements — the raw material of every figure in §3.
+
+Everything before the exchange is the run's *host side*, and it never
+depends on the network, the topology or the fault plan: the driver
+keeps it as a :class:`Recording`, which another machine agreeing on
+:func:`host_key` can price without running the program again (the §3
+sweeps run one input on machines that differ only in ``l`` or ``o``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from dataclasses import dataclass, field, fields
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Union
 
 import numpy as np
 
@@ -32,11 +38,13 @@ from repro.qsmlib.context import QSMContext, SharedArrayRef, SyncToken
 from repro.qsmlib.costmodel import CommCostModel
 from repro.qsmlib.layout import Layout
 from repro.qsmlib.plan import (
+    PhaseTraffic,
     apply_phase_semantics,
     build_traffic,
     check_phase_semantics,
     compute_kappa,
 )
+from repro.qsmlib.requests import RequestQueue
 from repro.qsmlib.runtime import SyncEngine
 from repro.qsmlib.stats import PhaseRecord, RunResult
 from repro.util.rng import RngStreams
@@ -55,6 +63,56 @@ class RunConfig:
     track_kappa: bool = False
 
 
+#: Machine fields only the pricing half of a run reads: wires and
+#: topology act in the sync engine, and faults perturb compute and
+#: wires there too (``EpochPhase``, ``SyncEngine._node_proc``).
+PRICING_FIELDS = frozenset({"network", "topology", "faults"})
+
+
+def host_key(config: RunConfig) -> tuple:
+    """Everything in *config* the host side of a run may read.
+
+    Built from the dataclass fields, so a field added later is part of
+    the key unless it is listed in :data:`PRICING_FIELDS`: ``p``, the
+    node (its CPU model prices ``ctx.charge``), the software layer, the
+    seed (program RNG streams and address-space salt), and the
+    semantics/kappa switches.
+    """
+    machine = tuple(
+        (f.name, getattr(config.machine, f.name))
+        for f in fields(config.machine)
+        if f.name not in PRICING_FIELDS
+    )
+    rest = tuple((f.name, getattr(config, f.name)) for f in fields(config) if f.name != "machine")
+    return machine + rest
+
+
+@dataclass
+class RecordedPhase:
+    """The host side of one phase, as the sync engine consumes it."""
+
+    traffic: PhaseTraffic
+    compute_cycles: np.ndarray
+    op_counts: np.ndarray
+    kappa: Optional[int]
+
+
+@dataclass
+class Recording:
+    """The machine-independent host side of one run.
+
+    Holds only the per-phase traffic, compute and op counts plus what
+    the programs reported, never the shared arrays themselves.
+    """
+
+    #: :func:`host_key` of the machine that recorded it.
+    key: tuple
+    phases: List[RecordedPhase] = field(default_factory=list)
+    returns: List[Any] = field(default_factory=list)
+    observations: Dict[str, List[tuple]] = field(default_factory=dict)
+    trailing_compute_cycles: float = 0.0
+
+
 class SPMDError(RuntimeError):
     """The per-processor programs did not stay in lock-step."""
 
@@ -69,13 +127,14 @@ class QSMMachine:
         # draws its own reproducible fault schedule.
         self.machine = Machine(self.config.machine, fault_salt=self.config.seed)
         self.space = AddressSpace(self.p, default_salt=self.config.seed)
-        self.rngs = RngStreams(self.config.seed, self.p)
         self._endpoints = make_endpoints(self.machine.network)
         self._engine = SyncEngine(self.machine, self._endpoints, self.config.software)
         # Fetched once per machine; None when disarmed (the usual case),
         # so sanitizer support costs one attribute test per phase.
         self._sanitizer = check.active()
         self._ran = False
+        #: The host side of the finished run (see :meth:`run`).
+        self.recording: Optional[Recording] = None
         if self.machine.sim.obs is not None:
             # Name the path the phases will actually run on (a machine
             # that needs per-message simulation runs epoch phases slow).
@@ -109,15 +168,76 @@ class QSMMachine:
         )
 
     # ------------------------------------------------------------------
-    def run(self, program: Callable, **program_kwargs: Any) -> RunResult:
-        """Execute *program* SPMD on all processors; returns measurements."""
+    def run(self, program: Union[Callable, Recording], **program_kwargs: Any) -> RunResult:
+        """Execute *program* SPMD on all processors; returns measurements.
+
+        A run has two halves.  *Recording* drives the ``p`` program
+        generators through their phases — sanitizer hooks, plan
+        construction (:func:`build_traffic`), the §2 memory semantics,
+        observations, return values and trailing compute — and keeps,
+        per phase, what the host side produced: the traffic matrices,
+        compute cycles, op counts and kappa.  *Pricing* runs each
+        recorded phase through the sync engine on this machine's own
+        simulator and fault state.  A fresh run prices each phase as
+        soon as it is recorded, so errors surface in the order they
+        always did.
+
+        The host side never reads the simulated clock, the network, the
+        topology or the fault plan, so a recording is machine
+        independent: pass a :class:`Recording` (from an earlier
+        machine's :attr:`recording`) in place of *program* to price the
+        same phases here.  Its :attr:`Recording.key` must equal this
+        machine's :func:`host_key`, and no sanitizer may be armed (the
+        sanitizer checks the host side, which a priced run skips).  The
+        result is bit-identical to running the program again.
+        """
         if self._ran:
             raise RuntimeError("a QSMMachine can run exactly one program; create a new one")
         self._ran = True
 
+        if isinstance(program, Recording):
+            if program_kwargs:
+                raise TypeError("a recorded run takes no program arguments")
+            if program.key != host_key(self.config):
+                raise ValueError(
+                    "the recording was made on a machine whose host-side "
+                    "configuration differs from this one"
+                )
+            if self._sanitizer is not None:
+                raise RuntimeError(
+                    "an armed sanitizer checks the host side of a run; run the "
+                    "program itself instead of pricing a recording"
+                )
+            recording = program
+            phases: Iterable[RecordedPhase] = recording.phases
+        else:
+            recording = Recording(key=host_key(self.config))
+            phases = self._record(program, program_kwargs, recording)
+
+        result = RunResult(p=self.p, seed=self.config.seed)
+        for phase in phases:
+            result.phases.append(self._price(phase, len(result.phases)))
+        result.returns = list(recording.returns)
+        result.observations = {k: list(v) for k, v in recording.observations.items()}
+        result.trailing_compute_cycles = recording.trailing_compute_cycles
+        result.sim_events = self.machine.sim.event_count
+        if self.machine.sim.obs is not None:
+            self.machine.sim.obs.finalize()
+        if self.machine.faults is not None:
+            _faults.absorb(self.machine.faults)
+        self.recording = recording
+        return result
+
+    # ------------------------------------------------------------------
+    def _record(
+        self, program: Callable, program_kwargs: Dict[str, Any], recording: Recording
+    ) -> Iterator[RecordedPhase]:
+        """Drive the program generators, yielding each phase as it is
+        recorded (and appending it to *recording*)."""
         p = self.p
+        rngs = RngStreams(self.config.seed, p)
         ctxs = [
-            QSMContext(self.space, pid, self.rngs[pid], self.machine.cpus[pid])
+            QSMContext(self.space, pid, rngs[pid], self.machine.cpus[pid])
             for pid in range(p)
         ]
         if self._sanitizer is not None:
@@ -131,7 +251,7 @@ class QSMMachine:
                     f"returned {type(gen).__name__}); did you forget a yield?"
                 )
 
-        result = RunResult(p=p, seed=self.config.seed, returns=[None] * p)
+        returns: List[Any] = [None] * p
         finished = [False] * p
         trailing = np.zeros(p)
         phase_idx = 0
@@ -145,7 +265,7 @@ class QSMMachine:
                     token = gens[pid].send(None)
                 except StopIteration as stop:
                     finished[pid] = True
-                    result.returns[pid] = stop.value
+                    returns[pid] = stop.value
                     if not ctxs[pid].queue.empty:
                         raise SPMDError(
                             f"processor {pid} finished with unsynchronized "
@@ -174,25 +294,26 @@ class QSMMachine:
             if self._sanitizer is not None:
                 self._sanitizer.check_collectives(ctxs, phase_idx)
             self._resolve_allocs(ctxs)
-            record = self._execute_phase(ctxs, phase_idx, result)
-            result.phases.append(record)
+            queues = [ctx.queue for ctx in ctxs]
+            phase = self._record_phase(ctxs, queues, phase_idx, recording.observations)
+            recording.phases.append(phase)
+            yield phase
+            apply_phase_semantics(queues)
+            for q in queues:
+                q.clear()
             self._resolve_frees(ctxs)
             phase_idx += 1
 
-        result.trailing_compute_cycles = float(trailing.max()) if p else 0.0
-        result.sim_events = self.machine.sim.event_count
-        if self.machine.sim.obs is not None:
-            self.machine.sim.obs.finalize()
-        if self.machine.faults is not None:
-            _faults.absorb(self.machine.faults)
-        return result
+        recording.returns = returns
+        recording.trailing_compute_cycles = float(trailing.max()) if p else 0.0
 
-    # ------------------------------------------------------------------
-    def _execute_phase(
-        self, ctxs: List[QSMContext], phase_idx: int, result: RunResult
-    ) -> PhaseRecord:
-        p = self.p
-        queues = [ctx.queue for ctx in ctxs]
+    def _record_phase(
+        self,
+        ctxs: List[QSMContext],
+        queues: List[RequestQueue],
+        phase_idx: int,
+        observations: Dict[str, List[tuple]],
+    ) -> RecordedPhase:
 
         if self._sanitizer is not None:
             # Richer diagnostics (pids, cells, enqueue file:line) than the
@@ -208,22 +329,25 @@ class QSMMachine:
 
         for pid, ctx in enumerate(ctxs):
             for key, value in ctx._drain_observations():
-                result.observations.setdefault(key, []).append((phase_idx, pid, value))
+                observations.setdefault(key, []).append((phase_idx, pid, value))
 
-        traffic = build_traffic(queues, p)
-        timing = self._engine.execute_phase(traffic, compute_cycles, traffic.local_words)
-        apply_phase_semantics(queues)
-        for q in queues:
-            q.clear()
+        traffic = build_traffic(queues, self.p)
+        return RecordedPhase(traffic, compute_cycles, op_counts, kappa)
 
+    def _price(self, phase: RecordedPhase, index: int) -> PhaseRecord:
+        """Run one recorded phase through this machine's sync engine."""
+        traffic = phase.traffic
+        timing = self._engine.execute_phase(
+            traffic, phase.compute_cycles, traffic.local_words
+        )
         return PhaseRecord(
-            index=phase_idx,
-            compute_cycles=compute_cycles,
-            op_counts=op_counts,
+            index=index,
+            compute_cycles=phase.compute_cycles.copy(),
+            op_counts=phase.op_counts.copy(),
             put_words=traffic.put_words.sum(axis=1),
             get_words=traffic.get_words.sum(axis=1),
             local_words=traffic.local_words.copy(),
-            kappa=kappa,
+            kappa=phase.kappa,
             put_in_words=traffic.put_words.sum(axis=0),
             get_served_words=traffic.get_words.sum(axis=0),
             start=timing.start,

@@ -84,3 +84,43 @@ def test_cycles_monotone_in_work(cpu):
     small = cpu.cycles(OpProfile(int_ops=100, loads=50))
     large = cpu.cycles(OpProfile(int_ops=200, loads=100))
     assert large > small
+
+
+def test_cycles_memo_is_capped_and_exact(monkeypatch):
+    import repro.machine.cpu as cpu_module
+
+    monkeypatch.setattr(CPUModel, "_shared_memos", {})
+    model = CPUModel(NodeConfig())
+    profiles = [
+        OpProfile(int_ops=i, loads=i % 7, mem=(RandomAccess(count=i, region_words=64 + i),))
+        for i in range(1, 3 * cpu_module.MEMO_CAP)
+    ]
+    first = [model.cycles(prof) for prof in profiles]
+    memo = CPUModel._shared_memos[NodeConfig()]
+    assert len(memo) == cpu_module.MEMO_CAP
+    # The oldest entries went first; recomputing them is bit-identical.
+    assert profiles[0] not in memo and profiles[-1] in memo
+    assert [model.cycles(p).hex() for p in profiles] == [c.hex() for c in first]
+    monkeypatch.setattr(CPUModel, "_shared_memos", {})
+    fresh = CPUModel(NodeConfig())
+    assert [fresh.cycles(p).hex() for p in reversed(profiles)] == [
+        c.hex() for c in reversed(first)
+    ]
+
+
+def test_many_seeds_never_grow_the_memo_past_the_cap(monkeypatch):
+    import numpy as np
+
+    import repro.machine.cpu as cpu_module
+    from repro.algorithms.samplesort import run_sample_sort
+    from repro.machine.config import MachineConfig
+    from repro.qsmlib import RunConfig
+
+    cap = 64
+    monkeypatch.setattr(cpu_module, "MEMO_CAP", cap)
+    monkeypatch.setattr(CPUModel, "_shared_memos", {})
+    config = MachineConfig(p=4)
+    for seed in range(12):
+        values = np.random.default_rng(seed).integers(0, 2**62, size=1024 + 64 * seed)
+        run_sample_sort(values, RunConfig(machine=config, seed=seed, check_semantics=False))
+        assert len(CPUModel._shared_memos[config.node]) <= cap

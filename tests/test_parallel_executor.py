@@ -149,3 +149,39 @@ def test_report_runner_without_jobs_keyword(tmp_path):
     generate_report(str(out), experiment_ids=["fig1"], runner=fake_runner, jobs=4)
     assert seen == ["fig1"]
     assert "fig1" in out.read_text()
+
+
+_GRID = [(m, i) for m in range(3) for i in range(2)]  # machine-major task order
+
+
+def _grouped_worker(seen, fail=()):
+    def fn(task):
+        seen.append(task)
+        if task in fail:
+            raise ValueError(f"bad {task}")
+        return task[0] * 10 + task[1]
+
+    fn.task_group = operator.itemgetter(1)
+    return fn
+
+
+def test_task_group_runs_groups_back_to_back_in_task_order_results():
+    seen = []
+    out = parallel_map(_grouped_worker(seen), _GRID, jobs=1)
+    assert out == [m * 10 + i for m, i in _GRID]
+    assert seen == [(0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (2, 1)]
+
+
+def test_task_group_raises_what_the_task_order_would():
+    # Group order reaches (1, 0) first; task order reaches (0, 1) first.
+    seen = []
+    with pytest.raises(ValueError, match=r"bad \(0, 1\)"):
+        parallel_map(_grouped_worker(seen, fail={(1, 0), (0, 1)}), _GRID, jobs=1)
+
+
+def test_task_group_keeps_task_order_when_instrumented(sanitizer_warn):
+    # Captured side state (here: sanitizer diagnostics) accrues in
+    # execution order, so an instrumented map never regroups.
+    seen = []
+    parallel_map(_grouped_worker(seen), _GRID, jobs=1)
+    assert seen == _GRID

@@ -376,3 +376,47 @@ def test_fig8_flat_row_matches_cluster_aware_predictions():
     for row in rows:
         if row[0] == "cluster":
             assert row[i_cluster] < row[i_best]
+
+
+def test_fig8_flat_rows_share_store_keys_with_full_fig4_and_fig6(monkeypatch):
+    """fig8's flat rows are the full fig4/fig5 sweep's l=1600 points and
+    the full fig6 sweep's o=400 points at n=8192 (same worker, same
+    tasks, so the same store keys); fig2 keys its points on its own
+    worker, so it shares their cycle counts but not their keys."""
+    from repro.experiments import fig8_topology, sweeps
+    from repro.experiments.executor import _fn_name
+    from repro.experiments.fig2_samplesort import _fig2_point_task
+    from repro.experiments.registry import run_experiment
+
+    class Captured(Exception):
+        pass
+
+    def tasks_of(exp_id: str, fast: bool) -> list:
+        calls = []
+
+        def fake_map(fn, tasks, jobs=1):
+            calls.extend((fn, t) for t in tasks)
+            raise Captured  # each of these experiments maps its points once
+
+        monkeypatch.setattr(sweeps, "parallel_map", fake_map)
+        monkeypatch.setattr(fig8_topology, "parallel_map", fake_map)
+        with pytest.raises(Captured):
+            run_experiment(exp_id, fast=fast, seed=0)
+        return calls
+
+    def keys(calls) -> list:
+        return [point_key(_fn_name(fn), t, None) for fn, t in calls]
+
+    fig8_calls = tasks_of("fig8", fast=True)
+    flat = [(fn, t) for fn, t in fig8_calls if t[0].topology.is_flat]
+    cluster = [(fn, t) for fn, t in fig8_calls if not t[0].topology.is_flat]
+    assert len(flat) == 3 and all(t[1] == 8192 for _, t in flat)
+    for exp_id in ("fig4", "fig5", "fig6"):
+        full = set(keys(tasks_of(exp_id, fast=False)))
+        assert set(keys(flat)) <= full, exp_id
+        assert not set(keys(cluster)) & full, exp_id
+
+    fig2_keys = {point_key(_fn_name(_fig2_point_task), t, None) for _, t in flat}
+    assert not fig2_keys & set(keys(fig8_calls))
+    fn, task = flat[0]
+    assert _fig2_point_task(task)[0] == fn(task)
