@@ -29,7 +29,7 @@ from repro.experiments.base import (
 from repro.experiments.executor import parallel_map
 from repro.machine.config import MachineConfig, Topology
 from repro.predict import PREFIX_MODELS, make_source, predict_point, resolve_models
-from repro.qsmlib import QSMMachine, RunConfig
+from repro.qsmlib import RunConfig, cost_model_for
 
 FULL_NS = [4096, 16384, 65536, 262144, 1048576]
 FAST_NS = [4096, 32768, 262144]
@@ -64,8 +64,7 @@ def run(
     reps = reps_for(fast)
     machine = MachineConfig() if topology is None else MachineConfig(topology=topology)
     config = RunConfig(machine=machine, seed=seed, check_semantics=False)
-    qm = QSMMachine(config)
-    costs, cpu = qm.cost_model(), qm.machine.cpus[0]
+    costs, cpu = cost_model_for(config)
     source = make_source("prefix", p=config.machine.p, cpu=cpu)
     model_names = resolve_models(models, default=PREFIX_MODELS)
 

@@ -30,7 +30,7 @@ from repro.experiments.base import (
 from repro.experiments.executor import parallel_map
 from repro.machine.config import MachineConfig, Topology
 from repro.predict import PAPER_MODELS, make_source, predict_point, resolve_models
-from repro.qsmlib import QSMMachine, RunConfig
+from repro.qsmlib import RunConfig, cost_model_for
 
 FULL_NS = [4096, 8192, 16384, 32768, 65536, 125000, 250000, 500000]
 FAST_NS = [8192, 65536, 250000]
@@ -66,8 +66,7 @@ def run(
     reps = reps_for(fast)
     machine = MachineConfig() if topology is None else MachineConfig(topology=topology)
     config = RunConfig(machine=machine, seed=seed, check_semantics=False)
-    qm = QSMMachine(config)
-    costs, cpu = qm.cost_model(), qm.machine.cpus[0]
+    costs, cpu = cost_model_for(config)
     source = make_source("samplesort", p=config.machine.p, cpu=cpu)
     model_names = resolve_models(models, default=PAPER_MODELS)
 

@@ -36,7 +36,7 @@ from repro.experiments.executor import parallel_map
 from repro.experiments.sweeps import _point_tasks, _sweep_point_task
 from repro.machine.config import ClusterTopology, MachineConfig, Topology
 from repro.predict import make_source, predict_point, resolve_models
-from repro.qsmlib import QSMMachine, RunConfig
+from repro.qsmlib import RunConfig, cost_model_for
 
 #: Fixed problem size: large enough that per-word costs dominate the
 #: per-sync floor, small enough to keep the grid affordable.
@@ -128,9 +128,8 @@ def run(
             label = "cluster"
             cores = topo.cores_per_node
             ratio = flat.network.gap_cycles_per_byte / topo.intra_gap_cycles_per_byte
-        probe = QSMMachine(RunConfig(machine=machine, seed=seed, check_semantics=False))
-        costs = probe.cost_model()
-        source = make_source("samplesort", p=machine.p, cpu=probe.machine.cpus[0])
+        costs, cpu = cost_model_for(RunConfig(machine=machine))
+        source = make_source("samplesort", p=machine.p, cpu=cpu)
         row = [label, cores, round(ratio, 3), round(cm)]
         for rec in predict_point(source, model_names, costs, n=n):
             err = (rec.comm_cycles - cm) / cm * 100.0 if cm else float("nan")

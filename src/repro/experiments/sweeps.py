@@ -21,7 +21,7 @@ from repro.experiments.base import mean_std_robust
 from repro.experiments.executor import parallel_map
 from repro.machine.config import MachineConfig
 from repro.predict import get_model, make_source, predict_point, resolve_models
-from repro.qsmlib import QSMMachine, Recording, RunConfig, host_key
+from repro.qsmlib import QSMMachine, Recording, RunConfig, cost_model_for, host_key
 
 FULL_SWEEP_NS = [4096, 8192, 16384, 32768, 65536, 125000, 250000, 500000]
 FAST_SWEEP_NS = [4096, 16384, 65536, 250000]
@@ -118,6 +118,13 @@ def band_exceedances(
 _last_recording: Optional[Tuple[int, Recording]] = None
 
 
+def forget_recording() -> None:
+    """Drop the held recording (a long-lived service runner calls this
+    between requests, so each request starts as a fresh process would)."""
+    global _last_recording
+    _last_recording = None
+
+
 def _sweep_point_task(task) -> float:
     """Worker for one (machine, n, run_seed) grid point.
 
@@ -188,13 +195,11 @@ def _assemble_sweep(
     ns: Sequence[int],
     reps: int,
     comms_flat: Sequence[float],
-    seed: int,
     models: Optional[Sequence[str]] = None,
 ) -> SampleSortSweep:
     """Fold flat per-point measurements back into a SampleSortSweep."""
-    probe = QSMMachine(RunConfig(machine=machine, seed=seed))
-    costs = probe.cost_model()
-    source = make_source("samplesort", p=machine.p, cpu=probe.machine.cpus[0])
+    costs, cpu = cost_model_for(RunConfig(machine=machine))
+    source = make_source("samplesort", p=machine.p, cpu=cpu)
     model_names = _sweep_models(models)
 
     points: List[SweepPoint] = []
@@ -219,7 +224,7 @@ def run_samplesort_sweep(
     """Measure sample-sort communication over the n grid on *machine*."""
     ns = list(ns)
     comms = parallel_map(_sweep_point_task, _point_tasks(machine, ns, reps, seed), jobs=jobs)
-    return _assemble_sweep(machine, ns, reps, comms, seed, models=models)
+    return _assemble_sweep(machine, ns, reps, comms, models=models)
 
 
 def _machine_sweeps(
@@ -241,7 +246,7 @@ def _machine_sweeps(
     comms = parallel_map(_sweep_point_task, tasks, jobs=jobs)
     per = len(ns) * reps
     return {
-        key: _assemble_sweep(m, ns, reps, comms[i * per : (i + 1) * per], seed, models=models)
+        key: _assemble_sweep(m, ns, reps, comms[i * per : (i + 1) * per], models=models)
         for i, (key, m) in enumerate(zip(keys, machines))
     }
 

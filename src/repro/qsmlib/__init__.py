@@ -41,6 +41,7 @@ from repro.qsmlib.program import (
     Recording,
     RunConfig,
     SPMDError,
+    cost_model_for,
     host_key,
     run_program,
 )
@@ -72,6 +73,7 @@ __all__ = [
     "Recording",
     "RunConfig",
     "SPMDError",
+    "cost_model_for",
     "host_key",
     "run_program",
     "GetHandle",

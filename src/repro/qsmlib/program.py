@@ -23,7 +23,7 @@ sweeps run one input on machines that differ only in ``l`` or ``o``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Union
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -31,6 +31,7 @@ from repro import check
 from repro import faults as _faults
 from repro.machine.cluster import Machine
 from repro.machine.config import MachineConfig
+from repro.machine.cpu import CPUModel
 from repro.msg.mp import make_endpoints
 from repro.qsmlib.address_space import AddressSpace, SharedArray
 from repro.qsmlib.config import SoftwareConfig
@@ -85,6 +86,20 @@ def host_key(config: RunConfig) -> tuple:
     )
     rest = tuple((f.name, getattr(config, f.name)) for f in fields(config) if f.name != "machine")
     return machine + rest
+
+
+def cost_model_for(config: RunConfig) -> Tuple[CommCostModel, CPUModel]:
+    """The analytic cost model and the node CPU model of *config*'s
+    machine, straight from the config: no simulator, network or
+    endpoints are built, and no observer run is opened."""
+    cpu = CPUModel(config.machine.node)
+    costs = CommCostModel.for_machine(
+        config.machine.network,
+        config.software,
+        cpu,
+        topology=config.machine.topology,
+    )
+    return costs, cpu
 
 
 @dataclass
@@ -160,12 +175,7 @@ class QSMMachine:
 
     def cost_model(self) -> CommCostModel:
         """The analytic communication cost model matching this machine."""
-        return CommCostModel.for_machine(
-            self.config.machine.network,
-            self.config.software,
-            self.machine.cpus[0],
-            topology=self.config.machine.topology,
-        )
+        return cost_model_for(self.config)[0]
 
     # ------------------------------------------------------------------
     def run(self, program: Union[Callable, Recording], **program_kwargs: Any) -> RunResult:

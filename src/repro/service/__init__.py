@@ -9,8 +9,9 @@ grid and model set, any job count — answers entirely from cache,
 executing zero simulator points.
 
 The hardened (protocol v2) service is built for real multi-user
-traffic: admitted requests run concurrently in isolated forked runner
-processes (:mod:`repro.service.runner`) behind an admission controller
+traffic: admitted requests run concurrently in forked runner processes,
+one long-lived runner per worker slot, reset before every request
+(:mod:`repro.service.runner`), behind an admission controller
 (:mod:`repro.service.admission` — token auth, bounded queue,
 per-client quotas), every state transition lands in a durable request
 journal (:mod:`repro.service.journal`) so a crashed server replays

@@ -14,9 +14,13 @@ Concurrency model (v2 — the hardened service)
   :class:`~repro.service.admission.AdmissionController` (token auth,
   bounded queue, per-client quotas) before touching a runner slot;
 * admitted requests queue for a **bounded pool of sweep runners**;
-  each runner is a forked process (:mod:`repro.service.runner`), so
-  per-request state — obs capture, fault plan, sanitizer diagnostics,
-  store counter delta — is exactly as isolated as a serial CLI run.
+  each worker slot runs its requests in a long-lived forked process
+  (:mod:`repro.service.runner`), forked on the slot's first request
+  and reset before every request, so per-request state — obs capture,
+  fault plan, sanitizer diagnostics, store counter delta — is exactly
+  as isolated as a serial CLI run.  A runner is replaced after any
+  request that did not end in a result (error, cancellation, death,
+  hard-deadline kill) and torn down with the service.
   Concurrent requests sharing points still compute each point once:
   single-flight is file-backed under the store
   (:class:`repro.store.FileFlight`), so leadership holds *across* the
@@ -44,7 +48,7 @@ import itertools
 import json
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.store import FileFlight, ResultStore
 from repro.service.admission import AdmissionController, AdmissionPolicy
@@ -76,6 +80,21 @@ _DEFAULT_COST_POINTS = 8.0
 #: shared by coalescing resubmissions, so live-process bookkeeping
 #: (the runner table) must not key on it.
 _SUBMISSION_IDS = itertools.count(1)
+
+#: Why a runner was replaced, by the terminal message its request
+#: ended with: no message (EOF), ``cancelled`` (its own deadline or the
+#: server's hard-deadline kill) or ``error``.
+_REPLACE_REASONS = ("died", "deadline", "failed")
+
+
+@dataclass
+class _Runner:
+    """One forked runner process and the server's end of its pipe."""
+
+    proc: Any
+    conn: Any
+    #: Requests it has answered with a result.
+    served: int = 0
 
 
 @dataclass
@@ -157,9 +176,18 @@ class SweepService:
         self._stopping: Optional[asyncio.Event] = None
         self._queue: Optional[asyncio.Queue] = None
         self._workers: list = []
-        #: Live runner processes keyed by ``_Pending.submission_id``
-        #: (NOT ``request_id``: coalescing resubmissions share that).
+        #: Runner processes busy with a request, keyed by
+        #: ``_Pending.submission_id`` (NOT ``request_id``: coalescing
+        #: resubmissions share that).
         self._procs: Dict[int, Any] = {}
+        #: Live runners waiting for their next request.  At most
+        #: ``max_workers`` requests run at once, so busy plus idle
+        #: runners never outnumber the worker slots.
+        self._idle: List[_Runner] = []
+        self.runners_started = 0
+        #: Requests served by a runner that had already served one.
+        self.runners_reused = 0
+        self.runners_replaced: Dict[str, int] = {r: 0 for r in _REPLACE_REASONS}
         self._counters: Dict[str, int] = {name: 0 for name in _COUNTER_NAMES}
         self.requests_served = 0
         self.requests_replayed = 0
@@ -229,8 +257,12 @@ class SweepService:
         if self._workers:
             await asyncio.gather(*self._workers, return_exceptions=True)
         self._workers = []
-        procs = list(self._procs.values())
+        procs = list(self._procs.values()) + [r.proc for r in self._idle]
+        conns = [r.conn for r in self._idle]
         self._procs.clear()
+        self._idle.clear()
+        for conn in conns:
+            conn.close()
         for proc in procs:
             if proc.is_alive():
                 proc.terminate()
@@ -336,6 +368,7 @@ class SweepService:
                     "requests_served": self.requests_served,
                     "requests_replayed": self.requests_replayed,
                     "admission": self.admission.snapshot(),
+                    "runners": self._runner_stats(),
                     "journal": (
                         str(self.journal.path) if self.journal is not None else None
                     ),
@@ -349,7 +382,7 @@ class SweepService:
                     "event": "health",
                     "status": "draining" if self.admission.draining else "ok",
                     "requests_served": self.requests_served,
-                    "runners_live": len(self._procs),
+                    "runners_live": len(self._procs) + len(self._idle),
                     **snap,
                 },
             )
@@ -496,6 +529,29 @@ class SweepService:
             if idle:
                 self._stopping.set()
 
+    def _runner_stats(self) -> Dict[str, Any]:
+        live = list(self._procs.values()) + [r.proc for r in self._idle]
+        return {
+            "started": self.runners_started,
+            "reused": self.runners_reused,
+            "replaced": dict(self.runners_replaced),
+            "live": len(live),
+            "pids": sorted(proc.pid for proc in live),
+        }
+
+    def _checkout_runner(self) -> _Runner:
+        """An idle live runner, or a freshly forked one (lazy fork)."""
+        while self._idle:
+            runner = self._idle.pop()
+            if runner.proc.is_alive():
+                return runner
+            # Died while idle (killed from outside): reap and replace.
+            self.runners_replaced["died"] += 1
+            self._reap(runner.proc, runner.conn)
+        proc, conn = spawn_runner(self.cache_dir, self.jobs)
+        self.runners_started += 1
+        return _Runner(proc, conn)
+
     async def _run_pending(self, pending: _Pending) -> None:
         req = pending.req
         request_id = pending.request_id
@@ -503,17 +559,23 @@ class SweepService:
             self.journal.record(request_id, "running")
         loop = asyncio.get_running_loop()
         try:
-            proc, conn = spawn_runner(pending.payload, self.cache_dir, self.jobs)
+            runner = self._checkout_runner()
         except OSError as exc:
             if self.journal is not None:
                 self.journal.record(request_id, "failed", error=str(exc))
             pending.emit(error_event("internal", f"could not fork runner: {exc}"))
             pending.emit(None)
             return
+        proc, conn = runner.proc, runner.conn
         self._procs[pending.submission_id] = proc
+        if runner.served:
+            self.runners_reused += 1
         chan: asyncio.Queue = asyncio.Queue()
 
         def pump() -> None:
+            # Forward this request's messages; the first one that is not
+            # a point is terminal, and the runner then waits for its
+            # next request, so the pump stops there.
             while True:
                 try:
                     msg = conn.recv()
@@ -523,12 +585,8 @@ class SweepService:
                     loop.call_soon_threadsafe(chan.put_nowait, msg)
                 except RuntimeError:  # loop already closed (server torn down)
                     return
-                if msg[0] == "eof":
+                if msg[0] != "point":
                     return
-
-        threading.Thread(
-            target=pump, name=f"runner-pump-{request_id[:8]}", daemon=True
-        ).start()
 
         hard_deadline = None
         if req.deadline_seconds is not None:
@@ -536,7 +594,18 @@ class SweepService:
                 loop.time() + req.deadline_seconds + self.DEADLINE_GRACE_SECONDS
             )
         terminal = None
+        reason = "died"
+        # The runner reported its own end, so it is alive and idle.
+        reported = False
         try:
+            try:
+                conn.send(pending.payload)
+            except OSError as exc:  # died after the liveness check
+                terminal = ("error", f"sweep runner died before reporting: {exc}")
+            else:
+                threading.Thread(
+                    target=pump, name=f"runner-pump-{request_id[:8]}", daemon=True
+                ).start()
             while terminal is None:
                 timeout = (
                     None
@@ -547,6 +616,7 @@ class SweepService:
                     kind, data = await asyncio.wait_for(chan.get(), timeout)
                 except asyncio.TimeoutError:
                     proc.terminate()
+                    reason = "deadline"
                     terminal = (
                         "cancelled",
                         f"deadline of {req.deadline_seconds:g}s exceeded "
@@ -559,7 +629,10 @@ class SweepService:
                     terminal = ("error", "sweep runner died before reporting")
                 else:
                     terminal = (kind, data)
+                    reason = "deadline" if kind == "cancelled" else "failed"
+                    reported = True
         finally:
+            keep = terminal is not None and terminal[0] == "result"
             try:
                 if terminal is None:  # cancelled mid-run (service stopping)
                     proc.terminate()
@@ -569,7 +642,16 @@ class SweepService:
                 # Even a failing settle (journal I/O) must not leave the
                 # runner untracked/unreaped.
                 self._procs.pop(pending.submission_id, None)
-                await loop.run_in_executor(None, self._reap, proc, conn)
+                if keep:
+                    runner.served += 1
+                    self._idle.append(runner)
+                else:
+                    if terminal is not None:
+                        self.runners_replaced[reason] += 1
+                    # A runner that reported its end waits for the next
+                    # request: closing the pipe lets it exit cleanly.
+                    # A killed or dead one is joined before the close.
+                    await loop.run_in_executor(None, self._reap, proc, conn, reported)
 
     async def _settle(self, pending: _Pending, terminal) -> None:
         """Journal + report one terminal runner message."""
@@ -606,8 +688,10 @@ class SweepService:
         pending.emit(None)
 
     @staticmethod
-    def _reap(proc, conn) -> None:
+    def _reap(proc, conn, graceful: bool = False) -> None:
         """Blocking runner cleanup (runs on the default executor)."""
+        if graceful:
+            conn.close()  # EOF: the idle runner leaves its request loop
         proc.join(timeout=5.0)
         if proc.is_alive():  # pragma: no cover - wedged runner
             proc.kill()

@@ -17,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+from repro import obs
 from repro.experiments import executor, fig8_topology, sweeps
 from repro.experiments.executor import ExecutionPolicy, _fn_name, parallel_map
 from repro.experiments.registry import run_experiment
@@ -42,6 +43,20 @@ PINNED_KEYS = {
         "last": "85eec4937921723050f19d5449ec77da16efaeb7f5ea79e53f4530eece1c2be5",
     },
 }
+
+
+@pytest.mark.parametrize("exp_id", ["fig4", "fig8"])
+def test_observed_runs_are_the_simulated_points(exp_id):
+    """The predictors' cost models come straight from the config: no
+    machine is built only to read them, so an observed sweep captures
+    exactly one run per simulated point (fig8 once reported 20 for 15)."""
+    obs.enable(spans=False)
+    try:
+        run_experiment(exp_id, fast=True, seed=0)
+        runs = len(obs.runs())
+    finally:
+        obs.disable()
+    assert runs == PINNED_KEYS[exp_id]["count"]
 
 
 def _payload(exp_id: str, jobs: int) -> dict:
